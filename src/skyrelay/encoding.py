@@ -144,7 +144,15 @@ def random_solution(cfg: ScenarioConfig, rng: np.random.Generator) -> Solution:
 
 
 def repair_continuous(sol: Solution, cfg: ScenarioConfig, rng: np.random.Generator) -> Solution:
-    """Resample any out-of-bounds continuous gene uniformly within its bounds."""
+    """Resample any out-of-bounds continuous gene uniformly within its bounds.
+
+    Returns ``sol`` itself when every gene is in bounds (variation clips, so
+    that is the usual case), else a repaired copy.
+    """
+    lower, upper = cfg.gene_bounds
+    vec = sol.continuous_vector()
+    if ((vec >= lower) & (vec <= upper)).all():  # NaN fails both tests
+        return sol
     out = sol.copy()
     for arr, lo, hi in (
         (out.x, cfg.l_min_m, cfg.l_max_m),
@@ -190,26 +198,31 @@ def check_discrete(sol: Solution, cfg: ScenarioConfig) -> None:
             raise ValueError(f"{name} references a non-existent channel")
 
 
+def _deployment(sol: Solution, cfg: ScenarioConfig):
+    """Radio placement and flight plan of the active slots, sharing ``sol``'s
+    arrays and one array of UAV positions; radio and energy only read them."""
+    n = sol.n_active
+    xyz = np.column_stack([sol.x[:n], sol.y[:n], sol.z[:n]])
+    placement = radio_mod.Placement(
+        uav_xyz=xyz,
+        uav_tx_w=sol.p[:n],
+        assignment=sol.assign,
+        uav_channel=sol.uav_chan[:n],
+        direct_channel=sol.direct_chan,
+    )
+    return placement, energy_mod.FlightPlan(
+        dest_xyz=xyz, speed_m_s=sol.v[:n], origin_xyz=cfg.origin_xyz
+    )
+
+
 def to_placement(sol: Solution, cfg: ScenarioConfig) -> radio_mod.Placement:
     """Radio-model view of the active slots only."""
-    n = sol.n_active
-    return radio_mod.Placement(
-        uav_xyz=np.column_stack([sol.x[:n], sol.y[:n], sol.z[:n]]),
-        uav_tx_w=sol.p[:n].copy(),
-        assignment=sol.assign.copy(),
-        uav_channel=sol.uav_chan[:n].copy(),
-        direct_channel=sol.direct_chan.copy(),
-    )
+    return _deployment(sol, cfg)[0]
 
 
 def to_flight_plan(sol: Solution, cfg: ScenarioConfig) -> energy_mod.FlightPlan:
     """Deployment flight plan of the active slots only."""
-    n = sol.n_active
-    return energy_mod.FlightPlan(
-        dest_xyz=np.column_stack([sol.x[:n], sol.y[:n], sol.z[:n]]),
-        speed_m_s=sol.v[:n].copy(),
-        origin_xyz=cfg.origin_xyz,
-    )
+    return _deployment(sol, cfg)[1]
 
 
 def evaluate(sol: Solution, cfg: ScenarioConfig) -> ObjectiveVector:
@@ -221,8 +234,7 @@ def evaluate(sol: Solution, cfg: ScenarioConfig) -> ObjectiveVector:
     rank infeasible deployments by how far they are from feasible.
     """
     check_discrete(sol, cfg)
-    placement = to_placement(sol, cfg)
-    plan = to_flight_plan(sol, cfg)
+    placement, plan = _deployment(sol, cfg)
     neg_f1 = -radio_mod.network_capacity(placement, cfg)
     f2 = float(sol.n_active)
     f3 = energy_mod.average_flight_energy(plan, cfg.energy)

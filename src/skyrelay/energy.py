@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,40 +15,51 @@ class EnergyError(ValueError):
 
 @dataclass(eq=False)
 class FlightPlan:
-    """Straight-line deployment: one destination and speed per UAV."""
+    """Straight-line deployment: one destination and speed per UAV.
+
+    ``distances`` is computed from the destinations at construction; build
+    a new plan rather than moving the destinations of an existing one.
+    """
 
     dest_xyz: np.ndarray  # (N, 3) m
     speed_m_s: np.ndarray  # (N,) m/s
     origin_xyz: tuple[float, float, float]
+    distances: np.ndarray = field(init=False, repr=False)  # (N,) m from the origin
+
+    def __post_init__(self) -> None:
+        offset = self.dest_xyz - np.asarray(self.origin_xyz)
+        # the sum np.linalg.norm(offset, axis=1) computes, without its glue
+        self.distances = np.sqrt(np.add.reduce(offset * offset, axis=1))
 
     @property
     def n_uavs(self) -> int:
         return len(self.dest_xyz)
 
     def flight_times(self) -> np.ndarray:
-        d = np.linalg.norm(self.dest_xyz - np.asarray(self.origin_xyz), axis=1)
-        return d / self.speed_m_s
+        return self.distances / self.speed_m_s
 
 
-def propulsion_power(v: float, ep: EnergyParams) -> float:
+def propulsion_power(v, ep: EnergyParams):
     """Propulsion power (W) of a rotary-wing craft at horizontal speed ``v``.
 
     Blade-profile, induced, and parasite terms.  The induced-term bracket
     subtracts v^2/(2 v0^2) by default; ``ep.induced_v4`` switches the
     denominator to v0^4 (for rotor-induced speeds below 1 m/s that reading
     turns the bracket negative, so it raises once the root is undefined).
+    ``v`` may be an array of speeds; a scalar speed gives a ``float``.
     """
     blade = ep.p_blade_w * (1.0 + 3.0 * v * v / ep.tip_speed_m_s**2)
     v0 = ep.rotor_induced_v_m_s
     sub_denom = 2.0 * v0**4 if ep.induced_v4 else 2.0 * v0**2
-    bracket = math.sqrt(1.0 + v**4 / (4.0 * v0**4)) - v * v / sub_denom
-    if bracket < 0.0:
-        raise EnergyError(f"induced-power bracket negative at v={v} (v0^4 reading)")
-    induced = ep.p_induced_w * math.sqrt(bracket)
+    bracket = np.sqrt(1.0 + v**4 / (4.0 * v0**4)) - v * v / sub_denom
+    if (bracket < 0.0).any():
+        raise EnergyError("induced-power bracket negative (v0^4 reading)")
+    induced = ep.p_induced_w * np.sqrt(bracket)
     parasite = (
         0.5 * ep.drag_ratio * ep.air_density_kg_m3 * ep.rotor_solidity * ep.disk_area_m2 * v**3
     )
-    return blade + induced + parasite
+    power = blade + induced + parasite
+    return float(power) if np.ndim(power) == 0 else power
 
 
 def flight_energy(dest_xyz, speed: float, origin_xyz, ep: EnergyParams) -> float:
@@ -67,32 +77,15 @@ def flight_energy(dest_xyz, speed: float, origin_xyz, ep: EnergyParams) -> float
     return propulsion_power(speed, ep) * (distance / speed) + potential
 
 
-def _propulsion_power_vec(v: np.ndarray, ep: EnergyParams) -> np.ndarray:
-    blade = ep.p_blade_w * (1.0 + 3.0 * v * v / ep.tip_speed_m_s**2)
-    v0 = ep.rotor_induced_v_m_s
-    sub_denom = 2.0 * v0**4 if ep.induced_v4 else 2.0 * v0**2
-    bracket = np.sqrt(1.0 + v**4 / (4.0 * v0**4)) - v * v / sub_denom
-    if np.any(bracket < 0.0):
-        raise EnergyError("induced-power bracket negative (v0^4 reading)")
-    induced = ep.p_induced_w * np.sqrt(bracket)
-    parasite = (
-        0.5 * ep.drag_ratio * ep.air_density_kg_m3 * ep.rotor_solidity * ep.disk_area_m2 * v**3
-    )
-    return blade + induced + parasite
-
-
 def average_flight_energy(plan: FlightPlan, ep: EnergyParams) -> float:
     """Mean deployment flight energy (J) over the plan's UAVs."""
     if plan.n_uavs == 0:
         raise EnergyError("flight plan has no UAVs")
-    speeds = np.asarray(plan.speed_m_s, dtype=float)
-    if np.any(speeds <= 0.0):
+    speeds = plan.speed_m_s
+    if (speeds <= 0.0).any():
         raise EnergyError("speed must be > 0")
-    dest = np.asarray(plan.dest_xyz, dtype=float)
-    origin = np.asarray(plan.origin_xyz, dtype=float)
-    distances = np.linalg.norm(dest - origin, axis=1)
-    potential = ep.uav_mass_kg * ep.gravity_m_s2 * (dest[:, 2] - origin[2])
-    energies = _propulsion_power_vec(speeds, ep) * (distances / speeds) + potential
+    potential = ep.uav_mass_kg * ep.gravity_m_s2 * (plan.dest_xyz[:, 2] - plan.origin_xyz[2])
+    energies = propulsion_power(speeds, ep) * (plan.distances / speeds) + potential
     return float(energies.sum()) / plan.n_uavs
 
 

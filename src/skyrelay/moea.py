@@ -57,35 +57,40 @@ def fast_non_dominated_sort(pop: list[Individual]) -> list[list[Individual]]:
     member (violation 0.0) therefore outranks every infeasible one, and an
     all-feasible population sorts by plain Pareto dominance.
     """
-    n = len(pop)
     keys = np.array([ind.key() for ind in pop])
     viol = np.array([ind.objectives.violation for ind in pop])
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    dom_count = np.zeros(n, dtype=int)
     # a dominates b <=> viol(a) < viol(b), or equal violations and
-    # all(a <= b) and any(a < b); vectorized pairwise
-    le = (keys[:, None, :] <= keys[None, :, :]).all(axis=2)
-    lt = (keys[:, None, :] < keys[None, :, :]).any(axis=2)
-    dom = (viol[:, None] < viol[None, :]) | ((viol[:, None] == viol[None, :]) & le & lt)
-    for i in range(n):
-        dominated_by[i] = list(np.flatnonzero(dom[i]))
-        dom_count[i] = int(dom[:, i].sum())
-    fronts: list[list[int]] = []
-    current = list(np.flatnonzero(dom_count == 0))
+    # all(a <= b) and any(a < b); pairwise, one objective at a time
+    n = len(pop)
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for col in keys.T:
+        le &= col[:, None] <= col
+        lt |= col[:, None] < col
+    dom = (viol[:, None] < viol) | ((viol[:, None] == viol) & le & lt)
+    # Peel the fronts.  A member joins the next front once the current one
+    # holds its last dominators.  It is listed by the position of its last
+    # dominator in the current front, then by index: the order of the
+    # classic per-member peel, which the next generation's pairing sees.
+    remaining = dom.sum(axis=0)  # dominators of each member not yet peeled
+    current = np.flatnonzero(remaining == 0)
+    fronts: list[list[Individual]] = []
     rank = 1
-    while current:
-        for i in current:
-            pop[i].rank = rank
-        fronts.append(current)
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                dom_count[j] -= 1
-                if dom_count[j] == 0:
-                    nxt.append(j)
+    while current.size:
+        front = [pop[i] for i in current.tolist()]
+        for ind in front:
+            ind.rank = rank
+        fronts.append(front)
+        remaining[current] = -1  # peeled; no later front dominates them
+        beaten = dom[current]
+        remaining -= beaten.sum(axis=0)
+        nxt = np.flatnonzero(remaining == 0)
+        if len(current) > 1 and len(nxt) > 1:
+            last = len(current) - 1 - beaten[::-1, nxt].argmax(axis=0)
+            nxt = nxt[np.argsort(last, kind="stable")]
         current = nxt
         rank += 1
-    return [[pop[i] for i in front] for front in fronts]
+    return fronts
 
 
 def das_dennis_points(n_obj: int, divisions: int) -> ReferencePointSet:
@@ -246,38 +251,39 @@ def sbx(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulated binary crossover with per-gene bounds; children are clipped."""
-    c1, c2 = p1.copy(), p2.copy()
     if rng.random() >= pc:
-        return c1, c2
-    for i in range(len(p1)):
-        if rng.random() >= 0.5:
+        return p1.copy(), p2.copy()
+    # Per-gene loop on Python floats: the same IEEE results as numpy scalars
+    # at a fraction of the call overhead; rng draws stay in the same order.
+    x1s, x2s, lows, highs = p1.tolist(), p2.tolist(), lower.tolist(), upper.tolist()
+    c1, c2 = list(x1s), list(x2s)
+    exponent = 1.0 / (eta_c + 1.0)
+    draw = rng.random
+    for i in range(len(x1s)):
+        if draw() >= 0.5:
             continue
-        x1, x2 = p1[i], p2[i]
+        x1, x2 = x1s[i], x2s[i]
         if abs(x1 - x2) < 1e-14:
             continue
         lo, hi = min(x1, x2), max(x1, x2)
-        u = rng.random()
-        beta = 1.0 + 2.0 * (lo - lower[i]) / (hi - lo)
+        u = draw()
+        beta = 1.0 + 2.0 * (lo - lows[i]) / (hi - lo)
         alpha = 2.0 - beta ** -(eta_c + 1.0)
         betaq = (
-            (u * alpha) ** (1.0 / (eta_c + 1.0))
-            if u <= 1.0 / alpha
-            else (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta_c + 1.0))
+            (u * alpha) ** exponent if u <= 1.0 / alpha else (1.0 / (2.0 - u * alpha)) ** exponent
         )
         child_lo = 0.5 * ((lo + hi) - betaq * (hi - lo))
-        beta = 1.0 + 2.0 * (upper[i] - hi) / (hi - lo)
+        beta = 1.0 + 2.0 * (highs[i] - hi) / (hi - lo)
         alpha = 2.0 - beta ** -(eta_c + 1.0)
         betaq = (
-            (u * alpha) ** (1.0 / (eta_c + 1.0))
-            if u <= 1.0 / alpha
-            else (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta_c + 1.0))
+            (u * alpha) ** exponent if u <= 1.0 / alpha else (1.0 / (2.0 - u * alpha)) ** exponent
         )
         child_hi = 0.5 * ((lo + hi) + betaq * (hi - lo))
-        if rng.random() < 0.5:
+        if draw() < 0.5:
             child_lo, child_hi = child_hi, child_lo
-        c1[i] = min(max(child_lo, lower[i]), upper[i])
-        c2[i] = min(max(child_hi, lower[i]), upper[i])
-    return c1, c2
+        c1[i] = min(max(child_lo, lows[i]), highs[i])
+        c2[i] = min(max(child_hi, lows[i]), highs[i])
+    return np.array(c1, dtype=float), np.array(c2, dtype=float)
 
 
 def poly_mutation(
@@ -290,22 +296,25 @@ def poly_mutation(
 ) -> np.ndarray:
     """Bounded polynomial mutation applied per gene with probability ``pm``."""
     out = x.copy()
-    for i in range(len(x)):
-        if rng.random() >= pm:
+    mut_pow = 1.0 / (eta_m + 1.0)
+    draw = rng.random
+    for i in range(len(out)):
+        if draw() >= pm:
             continue
-        lo, hi = lower[i], upper[i]
+        # Python floats, as in sbx; most genes are skipped before this point
+        lo, hi = float(lower[i]), float(upper[i])
         span = hi - lo
         if span <= 0.0:
             continue
-        u = rng.random()
-        delta1 = (out[i] - lo) / span
-        delta2 = (hi - out[i]) / span
-        mut_pow = 1.0 / (eta_m + 1.0)
+        u = draw()
+        gene = float(out[i])
+        delta1 = (gene - lo) / span
+        delta2 = (hi - gene) / span
         if u < 0.5:
             val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - delta1) ** (eta_m + 1.0)
             deltaq = val**mut_pow - 1.0
         else:
             val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** (eta_m + 1.0)
             deltaq = 1.0 - val**mut_pow
-        out[i] = min(max(out[i] + deltaq * span, lo), hi)
+        out[i] = min(max(gene + deltaq * span, lo), hi)
     return out

@@ -71,13 +71,19 @@ def gain_g2g(xy1, xy2, ch: ChannelParams) -> float:
     return ch.beta0 * d ** (-ch.alpha)
 
 
-def _check_indices(pl: Placement, cfg: ScenarioConfig) -> None:
+def _check_indices(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
+    """Validate the index arrays; returns :meth:`Placement.served_counts`."""
     if len(pl.assignment) != cfg.m_pairs:
         raise RadioError("assignment length != number of relayed pairs")
     if len(pl.direct_channel) != cfg.k_pairs:
         raise RadioError("direct_channel length != number of direct pairs")
-    if pl.n_uavs and (pl.assignment.min() < 0 or pl.assignment.max() >= pl.n_uavs):
+    try:
+        mu = pl.served_counts()
+    except ValueError:  # a negative index
+        raise RadioError("assignment references a non-existent UAV") from None
+    if len(mu) > pl.n_uavs:
         raise RadioError("assignment references a non-existent UAV")
+    return mu
 
 
 def _swd3(pair) -> tuple[float, float, float]:
@@ -95,11 +101,10 @@ def exp_interference_at_uav(m: int, n: int, pl: Placement, cfg: ScenarioConfig) 
     the round-robin duty factor; co-channel direct pairs contribute at
     their activity probability.
     """
-    _check_indices(pl, cfg)
+    mu = _check_indices(pl, cfg)
     if pl.assignment[m] != n:
         raise RadioError(f"pair {m} is not assigned to UAV {n}")
     ch = cfg.channel
-    mu = pl.served_counts()
     c_n = pl.uav_channel[n]
     uav_n = pl.uav_xyz[n]
     total = 0.0
@@ -129,11 +134,10 @@ def exp_sinr_downlink(n: int, m: int, pl: Placement, cfg: ScenarioConfig) -> flo
     power (idle UAVs transmit nothing); direct pairs interfere over the
     ground-to-ground channel.
     """
-    _check_indices(pl, cfg)
+    mu = _check_indices(pl, cfg)
     if pl.assignment[m] != n:
         raise RadioError(f"pair {m} is not assigned to UAV {n}")
     ch = cfg.channel
-    mu = pl.served_counts()
     c_n = pl.uav_channel[n]
     dwd = _dwd3(cfg.relayed_pairs[m])
     interference = 0.0
@@ -157,10 +161,9 @@ def exp_sinr_direct_leg(m: int, pl: Placement, cfg: ScenarioConfig) -> float:
     SWDs of other co-channel UAV groups count with the round-robin duty
     factor, all over the ground-to-ground channel.
     """
-    _check_indices(pl, cfg)
+    mu = _check_indices(pl, cfg)
     ch = cfg.channel
     n = pl.assignment[m]
-    mu = pl.served_counts()
     c_n = pl.uav_channel[n]
     pair_m = cfg.relayed_pairs[m]
     dwd = pair_m.dwd_xy
@@ -188,10 +191,10 @@ def link_rate(m: int, n: int, pl: Placement, cfg: ScenarioConfig) -> float:
     Zero whenever the pair is not assigned to ``n``; the bandwidth is split
     by the half-duplex factor and the UAV's round-robin share.
     """
-    _check_indices(pl, cfg)
+    mu = _check_indices(pl, cfg)
     if pl.assignment[m] != n:
         return 0.0
-    mu_n = int(pl.served_counts()[n])
+    mu_n = int(mu[n])
     g_direct = exp_sinr_direct_leg(m, pl, cfg)
     g_up = exp_sinr_uplink(m, n, pl, cfg)
     g_down = exp_sinr_downlink(n, m, pl, cfg)
@@ -199,23 +202,11 @@ def link_rate(m: int, n: int, pl: Placement, cfg: ScenarioConfig) -> float:
     return cfg.channel.bandwidth_hz / (2.0 * mu_n) * math.log2(combined)
 
 
-def _a2g_gain_matrix(points_xy: np.ndarray, uav_xyz: np.ndarray, ch: ChannelParams) -> np.ndarray:
-    """Gains from ground points (q, 2) to UAVs (N, 3); result (q, N)."""
-    dx = points_xy[:, 0][:, None] - uav_xyz[None, :, 0]
-    dy = points_xy[:, 1][:, None] - uav_xyz[None, :, 1]
-    z = uav_xyz[None, :, 2]
-    d = np.sqrt(dx * dx + dy * dy + z * z)
-    theta_deg = np.degrees(np.arcsin(z / d))
-    los_term = (ch.eta_los - ch.eta_nlos) / (1.0 + ch.a * np.exp(-ch.b * (theta_deg - ch.a)))
-    fspl = 20.0 * np.log10(4.0 * np.pi * ch.carrier_hz * d / ch.light_speed_m_s)
-    return 10.0 ** (-(los_term + fspl + ch.eta_nlos) / 10.0)
-
-
 def _g2g_gain_matrix(src_xy: np.ndarray, dst_xy: np.ndarray, ch: ChannelParams) -> np.ndarray:
     """Ground gains from sources (q, 2) to destinations (r, 2); result (q, r).
 
-    Coincident source/destination entries (a pair's own SWD at its DWD
-    position never occurs in valid scenarios) would divide by zero.
+    Scenario validation rejects a relayed DWD that coincides with a source
+    device, the only entries that would divide by zero.
     """
     d = np.hypot(
         src_xy[:, 0][:, None] - dst_xy[None, :, 0],
@@ -224,32 +215,53 @@ def _g2g_gain_matrix(src_xy: np.ndarray, dst_xy: np.ndarray, ch: ChannelParams) 
     return ch.beta0 * d ** (-ch.alpha)
 
 
-# Ground geometry and ground-to-ground gains depend only on the scenario,
-# not the placement, so they are computed once per config.
-_scenario_cache: dict[int, tuple] = {}
+class RadioConstants:
+    """Arrays of one scenario that no placement changes.
 
+    Built once per scenario and kept as ``cfg.radio_constants``.  Ground
+    points are stacked as relayed SWDs, relayed DWDs, then direct SWDs, so
+    one air-to-ground call covers every ground-to-UAV link.
+    """
 
-def _scenario_arrays(cfg: ScenarioConfig):
-    cached = _scenario_cache.get(id(cfg))
-    if cached is not None and cached[0] is cfg:
-        return cached[1]
-    swd_rel = np.array([p.swd_xy for p in cfg.relayed_pairs])
-    dwd_rel = np.array([p.dwd_xy for p in cfg.relayed_pairs])
-    p_rel = np.array([p.tx_power_w for p in cfg.relayed_pairs])
-    if cfg.k_pairs:
-        swd_dir = np.array([p.swd_xy for p in cfg.direct_pairs])
-        pp_dir = np.array([p.activity * p.tx_power_w for p in cfg.direct_pairs])
-        gkr = _g2g_gain_matrix(swd_dir, dwd_rel, cfg.channel)
-    else:
-        swd_dir = np.empty((0, 2))
-        pp_dir = np.empty(0)
-        gkr = np.empty((0, cfg.m_pairs))
-    grr = _g2g_gain_matrix(swd_rel, dwd_rel, cfg.channel)
-    arrays = (swd_rel, dwd_rel, p_rel, swd_dir, pp_dir, grr, gkr)
-    if len(_scenario_cache) > 64:
-        _scenario_cache.clear()
-    _scenario_cache[id(cfg)] = (cfg, arrays)
-    return arrays
+    def __init__(self, cfg: ScenarioConfig) -> None:
+        ch = cfg.channel
+        swd_rel = np.array([p.swd_xy for p in cfg.relayed_pairs])
+        dwd_rel = np.array([p.dwd_xy for p in cfg.relayed_pairs])
+        p_rel = np.array([p.tx_power_w for p in cfg.relayed_pairs])
+        if cfg.k_pairs:
+            swd_dir = np.array([p.swd_xy for p in cfg.direct_pairs])
+            pp_dir = np.array([p.activity * p.tx_power_w for p in cfg.direct_pairs])
+            gkr = _g2g_gain_matrix(swd_dir, dwd_rel, ch)
+        else:
+            swd_dir = np.empty((0, 2))
+            pp_dir = np.empty(0)
+            gkr = np.empty((0, cfg.m_pairs))
+        grr = _g2g_gain_matrix(swd_rel, dwd_rel, ch)
+        ground = np.vstack([swd_rel, dwd_rel, swd_dir])
+        self.ground_x = ground[:, 0][:, None]
+        self.ground_y = ground[:, 1][:, None]
+        self.p_rel = p_rel
+        self.pp_dir = pp_dir
+        self.pp_gkr = pp_dir[:, None] * gkr  # direct SWD -> relayed DWD, weighted
+        self.p_grr = p_rel[:, None] * grr  # relayed SWD -> relayed DWD, weighted
+        self.p_grr_own = p_rel * np.diag(grr)  # each pair's own direct leg
+        self.pairs = np.arange(cfg.m_pairs)
+        self.noise_w = ch.noise_w
+        self.four_pi_fc = 4.0 * np.pi * ch.carrier_hz
+        self.eta_gap = ch.eta_los - ch.eta_nlos
+        self.ch = ch
+
+    def a2g_gains(self, uav_xyz: np.ndarray) -> np.ndarray:
+        """Gains from every ground point to UAVs (N, 3); result (2M + K, N)."""
+        ch = self.ch
+        dx = self.ground_x - uav_xyz[None, :, 0]
+        dy = self.ground_y - uav_xyz[None, :, 1]
+        z = uav_xyz[None, :, 2]
+        d = np.sqrt(dx * dx + dy * dy + z * z)
+        theta_deg = np.degrees(np.arcsin(z / d))
+        los_term = self.eta_gap / (1.0 + ch.a * np.exp(-ch.b * (theta_deg - ch.a)))
+        fspl = 20.0 * np.log10(self.four_pi_fc * d / ch.light_speed_m_s)
+        return 10.0 ** (-(los_term + fspl + ch.eta_nlos) / 10.0)
 
 
 def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
@@ -257,59 +269,57 @@ def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
 
     Vectorized equivalent of ``link_rate(m, assignment[m])`` for all m.
     """
-    _check_indices(pl, cfg)
-    ch = cfg.channel
-    sigma2 = ch.noise_w
-    swd_rel, dwd_rel, p_rel, swd_dir, pp_dir, grr, gkr = _scenario_arrays(cfg)
+    mu = _check_indices(pl, cfg)
+    rc = cfg.radio_constants
+    sigma2 = rc.noise_w
+    pairs = rc.pairs
     n_uavs = pl.n_uavs
     assign = pl.assignment
-    mu = pl.served_counts()
-    transmitting = mu > 0
+    uav_channel = pl.uav_channel
+    tx_col = (mu > 0)[:, None]
+    mu_col = np.maximum(mu, 1)[:, None]
 
     m = cfg.m_pairs
-    hboth = _a2g_gain_matrix(np.vstack([swd_rel, dwd_rel]), pl.uav_xyz, ch)
-    hu = hboth[:m]  # SWD -> UAV, (M, N)
-    hd = hboth[m:]  # DWD <- UAV, (M, N)
-    one_hot = np.zeros((len(assign), n_uavs))
-    one_hot[np.arange(len(assign)), assign] = 1.0
+    h = rc.a2g_gains(pl.uav_xyz)
+    hu = h[:m]  # SWD -> UAV, (M, N)
+    hd = h[m : 2 * m]  # DWD <- UAV, (M, N)
+    one_hot = np.zeros((m, n_uavs))
+    one_hot[pairs, assign] = 1.0
 
-    same_ch_uav = pl.uav_channel[:, None] == pl.uav_channel[None, :]
+    same_ch_uav = uav_channel[:, None] == uav_channel[None, :]
 
-    # Expected uplink interference is a property of the receiving UAV.
-    group_up = one_hot.T @ (p_rel[:, None] * hu)  # (N_tx_group, N_rx)
-    with np.errstate(invalid="ignore"):
-        group_up = np.where(transmitting[:, None], group_up / np.maximum(mu, 1)[:, None], 0.0)
-    up_mask = same_ch_uav & ~np.eye(n_uavs, dtype=bool) & transmitting[:, None]
+    # Expected uplink interference is a property of the receiving UAV; the
+    # direct legs see each UAV group's SWDs over the ground.  Rows of idle
+    # UAVs are zero here, and up_mask and dn_mask drop them.
+    group_up = one_hot.T @ (rc.p_rel[:, None] * hu) / mu_col  # (N_tx_group, N_rx)
+    group_g = one_hot.T @ rc.p_grr / mu_col  # (N, M)
+    up_mask = same_ch_uav & ~np.eye(n_uavs, dtype=bool) & tx_col
     i_up_uav = (group_up * up_mask).sum(axis=0)  # (N,)
 
     if cfg.k_pairs:
-        hk = _a2g_gain_matrix(swd_dir, pl.uav_xyz, ch)  # direct SWD -> UAV, (K, N)
-        dir_on_uav = pl.direct_channel[:, None] == pl.uav_channel[None, :]  # (K, N)
-        i_up_uav = i_up_uav + (pp_dir[:, None] * hk * dir_on_uav).sum(axis=0)
-        dir_on_pair = pl.direct_channel[:, None] == pl.uav_channel[assign][None, :]  # (K, M)
-        i_dir_ground = (pp_dir[:, None] * gkr * dir_on_pair).sum(axis=0)  # (M,)
+        hk = h[2 * m :]  # direct SWD -> UAV, (K, N)
+        direct_channel = pl.direct_channel[:, None]
+        dir_on_uav = direct_channel == uav_channel[None, :]  # (K, N)
+        i_up_uav = i_up_uav + (rc.pp_dir[:, None] * hk * dir_on_uav).sum(axis=0)
+        dir_on_pair = direct_channel == uav_channel[assign][None, :]  # (K, M)
+        i_dir_ground = (rc.pp_gkr * dir_on_pair).sum(axis=0)  # (M,)
     else:
-        i_dir_ground = np.zeros(cfg.m_pairs)
+        i_dir_ground = np.zeros(m)
 
-    gamma_up = p_rel * hu[np.arange(cfg.m_pairs), assign] / (sigma2 + i_up_uav[assign])
+    gamma_up = rc.p_rel * hu[pairs, assign] / (sigma2 + i_up_uav[assign])
 
     # Downlink interference at each DWD from co-channel transmitting UAVs.
-    dn_mask = same_ch_uav[:, assign] & transmitting[:, None]  # (N, M)
-    dn_mask[assign, np.arange(cfg.m_pairs)] = False
-    i_dn = ((pl.uav_tx_w[:, None] * hd.T) * dn_mask).sum(axis=0) + i_dir_ground
-    gamma_dn = (
-        pl.uav_tx_w[assign] * hd[np.arange(cfg.m_pairs), assign] / (sigma2 + i_dn)
-    )
+    dn_mask = same_ch_uav[:, assign] & tx_col  # (N, M)
+    dn_mask[assign, pairs] = False
+    uav_tx_w = pl.uav_tx_w
+    i_dn = ((uav_tx_w[:, None] * hd.T) * dn_mask).sum(axis=0) + i_dir_ground
+    gamma_dn = uav_tx_w[assign] * hd[pairs, assign] / (sigma2 + i_dn)
 
-    # Direct-leg interference: co-channel UAV groups' SWDs over the ground.
-    group_g = one_hot.T @ (p_rel[:, None] * grr)  # (N, M)
-    with np.errstate(invalid="ignore"):
-        group_g = np.where(transmitting[:, None], group_g / np.maximum(mu, 1)[:, None], 0.0)
     i_leg = (group_g * dn_mask).sum(axis=0) + i_dir_ground
-    gamma_direct = p_rel * np.diag(grr) / (sigma2 + i_leg)
+    gamma_direct = rc.p_grr_own / (sigma2 + i_leg)
 
     combined = 1.0 + gamma_direct + gamma_up * gamma_dn / (1.0 + gamma_up + gamma_dn)
-    return ch.bandwidth_hz / (2.0 * mu[assign]) * np.log2(combined)
+    return cfg.channel.bandwidth_hz / (2.0 * mu[assign]) * np.log2(combined)
 
 
 def network_capacity(pl: Placement, cfg: ScenarioConfig) -> float:

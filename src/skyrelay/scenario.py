@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,7 +122,11 @@ class DevicePair:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Immutable world description consumed by every other module."""
+    """Immutable world description consumed by every other module.
+
+    Arrays derived from the scenario alone (:attr:`radio_constants`,
+    :attr:`gene_bounds`) are built on first use and kept on the instance.
+    """
 
     relayed_pairs: tuple[DevicePair, ...]
     direct_pairs: tuple[DevicePair, ...]
@@ -152,6 +157,23 @@ class ScenarioConfig:
     def origin_xyz(self) -> tuple[float, float, float]:
         """Common UAV start point: the area origin at the minimum altitude."""
         return (0.0, 0.0, self.z_min_m)
+
+    @cached_property
+    def radio_constants(self):
+        """Placement-independent radio arrays (:class:`skyrelay.radio.RadioConstants`)."""
+        from .radio import RadioConstants  # deferred: radio imports this module
+
+        return RadioConstants(self)
+
+    @cached_property
+    def gene_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only copy of :func:`skyrelay.encoding.continuous_bounds`."""
+        from .encoding import continuous_bounds  # deferred: encoding imports this module
+
+        lower, upper = continuous_bounds(self)
+        lower.setflags(write=False)
+        upper.setflags(write=False)
+        return lower, upper
 
     def validate(self) -> None:
         if self.n_min < 1:
@@ -188,6 +210,13 @@ class ScenarioConfig:
             pair.validate(self.l_min_m, self.l_max_m)
             if pair.kind != "direct":
                 raise ScenarioError("direct_pairs entry has kind != 'direct'")
+        # The ground-to-ground gain divides by every relayed-DWD-to-SWD distance.
+        sources = {tuple(p.swd_xy) for p in self.relayed_pairs + self.direct_pairs}
+        for m, pair in enumerate(self.relayed_pairs):
+            if tuple(pair.dwd_xy) in sources:
+                raise ScenarioError(
+                    f"relayed_pairs[{m}].dwd_xy {tuple(pair.dwd_xy)} coincides with a source device"
+                )
 
 
 # Table of per-scale network sizes: (n_max, n_min, u, m, k).

@@ -2,12 +2,16 @@
 
 Everything here is written directly from the model definitions with plain
 loops over explicit interferer sets, favoring obviousness over speed, and
-shares no code with ``skyrelay``.
+shares no code with ``skyrelay``.  The last three functions are earlier
+per-element versions of ``skyrelay.moea`` operators, kept as bit-for-bit
+references for the faster ones.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def path_loss_db(wd_xyz, uav_xyz, ch) -> float:
@@ -173,3 +177,95 @@ def slow_fronts(keys) -> list[list[int]]:
         taken = set(level)
         remaining = [i for i in remaining if i not in taken]
     return fronts
+
+
+def classic_fronts(pop) -> list[list[int]]:
+    """Constrained-domination fronts by the classic per-member peel (Deb et
+    al., IEEE TEVC 2002), as indices into ``pop``; stamps 1-based ``rank``.
+
+    Within a front, members appear in the order the peel releases them.
+    """
+    n = len(pop)
+    keys = np.array([ind.key() for ind in pop])
+    viol = np.array([ind.objectives.violation for ind in pop])
+    le = (keys[:, None, :] <= keys[None, :, :]).all(axis=2)
+    lt = (keys[:, None, :] < keys[None, :, :]).any(axis=2)
+    dom = (viol[:, None] < viol[None, :]) | ((viol[:, None] == viol[None, :]) & le & lt)
+    dominated_by = [list(np.flatnonzero(dom[i])) for i in range(n)]
+    dom_count = [int(dom[:, i].sum()) for i in range(n)]
+    fronts = []
+    current = [i for i in range(n) if dom_count[i] == 0]
+    rank = 1
+    while current:
+        for i in current:
+            pop[i].rank = rank
+        fronts.append(current)
+        nxt = []
+        for i in current:
+            for j in dominated_by[i]:
+                dom_count[j] -= 1
+                if dom_count[j] == 0:
+                    nxt.append(j)
+        current = nxt
+        rank += 1
+    return fronts
+
+
+def sbx(p1, p2, lower, upper, eta_c, pc, rng):
+    """Simulated binary crossover on numpy scalars, one gene at a time."""
+    c1, c2 = p1.copy(), p2.copy()
+    if rng.random() >= pc:
+        return c1, c2
+    for i in range(len(p1)):
+        if rng.random() >= 0.5:
+            continue
+        x1, x2 = p1[i], p2[i]
+        if abs(x1 - x2) < 1e-14:
+            continue
+        lo, hi = min(x1, x2), max(x1, x2)
+        u = rng.random()
+        beta = 1.0 + 2.0 * (lo - lower[i]) / (hi - lo)
+        alpha = 2.0 - beta ** -(eta_c + 1.0)
+        betaq = (
+            (u * alpha) ** (1.0 / (eta_c + 1.0))
+            if u <= 1.0 / alpha
+            else (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta_c + 1.0))
+        )
+        child_lo = 0.5 * ((lo + hi) - betaq * (hi - lo))
+        beta = 1.0 + 2.0 * (upper[i] - hi) / (hi - lo)
+        alpha = 2.0 - beta ** -(eta_c + 1.0)
+        betaq = (
+            (u * alpha) ** (1.0 / (eta_c + 1.0))
+            if u <= 1.0 / alpha
+            else (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta_c + 1.0))
+        )
+        child_hi = 0.5 * ((lo + hi) + betaq * (hi - lo))
+        if rng.random() < 0.5:
+            child_lo, child_hi = child_hi, child_lo
+        c1[i] = min(max(child_lo, lower[i]), upper[i])
+        c2[i] = min(max(child_hi, lower[i]), upper[i])
+    return c1, c2
+
+
+def poly_mutation(x, lower, upper, eta_m, pm, rng):
+    """Bounded polynomial mutation on numpy scalars, one gene at a time."""
+    out = x.copy()
+    for i in range(len(x)):
+        if rng.random() >= pm:
+            continue
+        lo, hi = lower[i], upper[i]
+        span = hi - lo
+        if span <= 0.0:
+            continue
+        u = rng.random()
+        delta1 = (out[i] - lo) / span
+        delta2 = (hi - out[i]) / span
+        mut_pow = 1.0 / (eta_m + 1.0)
+        if u < 0.5:
+            val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - delta1) ** (eta_m + 1.0)
+            deltaq = val**mut_pow - 1.0
+        else:
+            val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** (eta_m + 1.0)
+            deltaq = 1.0 - val**mut_pow
+        out[i] = min(max(out[i] + deltaq * span, lo), hi)
+    return out

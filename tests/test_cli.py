@@ -71,6 +71,10 @@ def test_usage_errors(workspace, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["run", "--scenario", str(bad), "--algo", "ud", "--out", str(tmp_path)]) == EXIT_USAGE
+    doc = json.loads(scenario.read_text())
+    doc["relayed_pairs"][0]["dwd_xy"] = doc["direct_pairs"][0]["swd_xy"]  # zero ground distance
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad), "--algo", "ud", "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["pick", "--in", str(outdir), "--strategy", "minuav", "--trial", "99"]) == EXIT_USAGE
     assert main(["stats", "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
 

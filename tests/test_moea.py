@@ -73,6 +73,23 @@ def test_fast_sort_matches_slow_classifier():
         assert got == [sorted(f) for f in expected]
 
 
+def test_fast_sort_matches_classic_peel():
+    # same fronts, same order inside each front, same rank stamps as the
+    # per-member peel; survivor order feeds the next generation's pairing
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 201))
+        levels = int(rng.choice([3, 6, 1000]))  # few levels force duplicate rows
+        keys = rng.integers(0, levels, (n, 3)).astype(float)
+        viol = rng.choice([0.0, 0.0, 0.5, 1.5, 2.0], n) * (rng.random(n) < rng.random())
+        pop = [ind(tuple(k), float(v)) for k, v in zip(keys, viol)]
+        ref = [ind(tuple(k), float(v)) for k, v in zip(keys, viol)]
+        position = {id(member): i for i, member in enumerate(pop)}
+        got = [[position[id(member)] for member in front] for front in fast_non_dominated_sort(pop)]
+        assert got == oracle.classic_fronts(ref)
+        assert [member.rank for member in pop] == [member.rank for member in ref]
+
+
 def test_fast_sort_stamps_ranks():
     pop = [ind((0.0, 0.0, 0.0)), ind((1.0, 1.0, 1.0)), ind((2.0, 0.0, 0.0))]
     fronts = fast_non_dominated_sort(pop)
@@ -253,3 +270,44 @@ def test_poly_mutation_pm_zero_identity():
     lower, upper = BOUNDS
     x = rng.uniform(lower, upper)
     assert np.array_equal(poly_mutation(x, lower, upper, 20.0, 0.0, rng), x)
+
+
+def _reference_parents(seed):
+    """Parents with an identical gene and genes on both bounds."""
+    rng = np.random.default_rng(seed)
+    lower, upper = BOUNDS
+    p1 = rng.uniform(lower, upper)
+    p2 = rng.uniform(lower, upper)
+    p2[0] = p1[0]
+    p1[1], p2[1] = lower[1], upper[1]
+    p1[2] = p2[2] = upper[2]
+    p1[3] = lower[3]
+    return p1, p2
+
+
+@pytest.mark.parametrize("pc", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("eta_c", [2.0, 20.0])
+def test_sbx_matches_per_gene_reference(pc, eta_c):
+    lower, upper = BOUNDS
+    for seed in range(40):
+        p1, p2 = _reference_parents(seed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sbx(p1, p2, lower, upper, eta_c, pc, rng)
+        want = oracle.sbx(p1, p2, lower, upper, eta_c, pc, ref_rng)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("pm", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("eta_m", [2.0, 20.0])
+def test_poly_mutation_matches_per_gene_reference(pm, eta_m):
+    # an extra gene with equal bounds is never moved
+    lower = np.append(BOUNDS[0], 5.0)
+    upper = np.append(BOUNDS[1], 5.0)
+    for seed in range(40):
+        x = np.append(_reference_parents(seed)[0], 5.0)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = poly_mutation(x, lower, upper, eta_m, pm, rng)
+        want = oracle.poly_mutation(x, lower, upper, eta_m, pm, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

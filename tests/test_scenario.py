@@ -106,3 +106,19 @@ def test_load_rejects_invariant_violation(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    ("kind", "index"),
+    [("relayed", 2), ("relayed", 1), ("direct", 1)],  # its own SWD, another's, a direct one
+)
+def test_load_rejects_dwd_on_a_source(tmp_path, kind, index):
+    # the ground-to-ground gain raises each DWD-to-SWD distance to -alpha
+    cfg = gen_scenario("one", 0)
+    path = tmp_path / "scenario.json"
+    save_scenario(cfg, path)
+    doc = json.loads(path.read_text())
+    doc["relayed_pairs"][2]["dwd_xy"] = doc[f"{kind}_pairs"][index]["swd_xy"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="coincides with a source device"):
+        load_scenario(path)

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -202,3 +205,34 @@ def test_pick_strategy():
         pick_strategy(front, "bogus")
     with pytest.raises(ValueError):
         pick_strategy([], "maxnetcap")
+
+
+# SHA-256 of each final front's objective doubles, in front order, for a
+# short fixed-seed run (pop 8, 10 iterations, seed 5) on gen_scenario(scale,
+# 1).  A speed-up must leave these unchanged.  Computed with numpy 2.4 on
+# x86-64; another numpy build or CPU may round its vector transcendental
+# functions differently, so a mismatch there needs a run of the older code
+# on the same machine before it is read as a change in behaviour.
+GOLDEN_FRONTS = {
+    ("nsga3fdu", "one"): "fbf21f5e853e8a793510e279c6526cb67167c46b849782199acc4058752d4032",
+    ("nsga3fdu", "two"): "7fd852ad951e24fef007dd0d33fc8055d106087a4ddfd108cb7fa37af8e7812b",
+    ("nsga3", "one"): "42d73b59464cf56beaf90eb3cee49adf82288bf4897854e581b89572be2ee87a",
+    ("nsga2", "one"): "f3d8002e9edea65af09e94f2207177db1cf029de971115295137244c439ad271",
+    ("wsga", "one"): "07a447b1583c31aabc08ccce56e3fcc4b180efa2ab19817fe5bfccbe2ccb6267",
+}
+GOLDEN_SOLVERS = {
+    "nsga3fdu": nsga3fdu,
+    "nsga3": nsga3_plain,
+    "nsga2": nsga2,
+    "wsga": weighted_sum_ga,
+}
+
+
+@pytest.mark.parametrize(("algo", "scale"), sorted(GOLDEN_FRONTS))
+def test_fixed_seed_fronts_unchanged(algo, scale, scale_one, scale_two):
+    cfg = scale_one if scale == "one" else scale_two
+    front = GOLDEN_SOLVERS[algo](cfg, RunConfig(pop=8, max_iters=10, seed=5)).final_front
+    digest = hashlib.sha256()
+    for member in front:
+        digest.update(struct.pack("<3d", *member.objectives.as_tuple()))
+    assert digest.hexdigest() == GOLDEN_FRONTS[(algo, scale)]
