@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, solvers
+from .encoding import ObjectiveVector
 from .moea import Individual
 from .scenario import ScenarioConfig
 from .solvers import STRATEGIES, RunConfig
@@ -224,36 +225,52 @@ def export_results(
         fh.write("\n")
 
 
-def load_reports(in_dir) -> dict:
-    path = Path(in_dir) / "reports.json"
-    with open(path) as fh:
-        return json.load(fh)
+def _field(obj, key: str, kind):
+    """``obj[key]`` if ``obj`` is a JSON object holding a ``kind`` there."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"reports.json: missing key {key!r}")
+    value = obj[key]
+    # JSON true/false load as bool, which Python also counts as an int
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"reports.json: {key!r} has the wrong type")
+    return value
 
 
-def stats_from_report_doc(doc: dict) -> RunStats:
-    """Recompute aggregate statistics from a persisted reports.json."""
-    by_strategy: dict[tuple[str, str], Stats] = {}
-    trials = doc["trials"]
-    if not trials:
-        raise ValueError("reports.json contains no trials")
-    for strategy in STRATEGIES:
-        picks = [t["front"][t["picks"][strategy]] for t in trials]
-        for objective, values in (
-            ("f1", [-p["neg_f1"] for p in picks]),
-            ("f2", [p["f2"] for p in picks]),
-            ("f3", [p["f3"] for p in picks]),
-        ):
-            arr = np.asarray(values)
-            by_strategy[(strategy, objective)] = Stats(
-                mean=float(arr.mean()),
-                std=float(arr.std()),
-                max=float(arr.max()),
-                min=float(arr.min()),
+def _member(rec) -> Individual:
+    solution = _field(rec, "solution", dict)
+    if not all(isinstance(w, (int, float)) for w in _field(solution, "uav_tx_w", list)):
+        raise ValueError("reports.json: 'uav_tx_w' holds a non-number")
+    values = [_field(rec, key, (int, float)) for key in ("neg_f1", "f2", "f3")]
+    return Individual(solution, ObjectiveVector(*values, feasible=_field(rec, "feasible", bool)))
+
+
+def load_reports(in_dir) -> list[TrialReport]:
+    """Read the trial reports back from a results directory's reports.json.
+
+    Each front member keeps its objectives and, as its ``genome``, the
+    solution record :func:`export_results` wrote.  Raises ValueError on a
+    document with no trials, a missing or ill-typed key, or a pick outside
+    its front.
+    """
+    with open(Path(in_dir) / "reports.json") as fh:
+        doc = json.load(fh)
+    algo = _field(doc, "algo", str)
+    reports = []
+    for trial in _field(doc, "trials", list):
+        front = [_member(rec) for rec in _field(trial, "front", list)]
+        picks = _field(trial, "picks", dict)
+        picks = {s: _field(picks, s, int) for s in STRATEGIES}
+        if any(not 0 <= i < len(front) for i in picks.values()):
+            raise ValueError("reports.json: a pick index is outside its front")
+        reports.append(
+            TrialReport(
+                algo=algo,
+                trial_seed=_field(trial, "trial_seed", int),
+                front=front,
+                picks=picks,
+                wall_time_s=_field(trial, "wall_time_s", (int, float)),
             )
-    individuals = [ind for t in trials for ind in t["front"]]
-    feasible = sum(1 for ind in individuals if ind["feasible"])
-    return RunStats(
-        algo=doc["algo"],
-        by_strategy=by_strategy,
-        feasibility_rate=feasible / len(individuals),
-    )
+        )
+    if not reports:
+        raise ValueError("reports.json contains no trials")
+    return reports

@@ -53,8 +53,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    doc = bench.load_reports(args.indir)
-    stats = bench.stats_from_report_doc(doc)
+    stats = bench.aggregate_stats(bench.load_reports(args.indir))
     bench.write_stats_csv(stats, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -70,20 +69,17 @@ def _cmd_pick(args) -> int:
 
 def _cmd_eff(args) -> int:
     cfg = load_scenario(args.scenario)
-    doc = bench.load_reports(args.indir)
     with_uav = []
     without_uav = []
     cap_with = []
     cap_without = []
-    for trial, t in enumerate(doc["trials"]):
-        pick = t["front"][t["picks"]["maxnetcap"]]
-        capacity = -pick["neg_f1"]
-        uav_power = float(np.sum(pick["solution"]["uav_tx_w"]))
-        swd_power = sum(p.tx_power_w for p in cfg.relayed_pairs)
-        with_uav.append(capacity / (uav_power + swd_power))
+    for report in bench.load_reports(args.indir):
+        pick = report.pick("maxnetcap")
+        capacity = pick.objectives.f1
+        with_uav.append(radio.comm_energy_efficiency(capacity, pick.genome["uav_tx_w"], cfg))
         cap_with.append(capacity)
-        direct_cap = radio.direct_only_capacity(cfg, seed=t["trial_seed"])
-        without_uav.append(direct_cap / swd_power)
+        direct_cap = radio.direct_only_capacity(cfg, seed=report.trial_seed)
+        without_uav.append(radio.comm_energy_efficiency(direct_cap, [], cfg))
         cap_without.append(direct_cap)
     writer = csv.writer(sys.stdout)
     writer.writerow(

@@ -126,7 +126,7 @@ def random_discrete(cfg: ScenarioConfig, rng: np.random.Generator):
 
 def random_solution(cfg: ScenarioConfig, rng: np.random.Generator) -> Solution:
     """Uniform random solution: continuous within bounds, discrete in domain."""
-    lower, upper = continuous_bounds(cfg)
+    lower, upper = cfg.gene_bounds
     vec = rng.uniform(lower, upper)
     n_active, assign, uav_chan, direct_chan = random_discrete(cfg, rng)
     n = cfg.n_max

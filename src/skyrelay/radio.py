@@ -372,21 +372,13 @@ def direct_only_capacity(
     return total
 
 
-def comm_energy_efficiency(
-    capacity: float, pl: Placement | None, cfg: ScenarioConfig, with_uavs: bool
-) -> float:
+def comm_energy_efficiency(capacity: float, uav_tx_w, cfg: ScenarioConfig) -> float:
     """Communication energy efficiency in bit/J.
 
-    With UAVs the denominator is the total UAV plus relayed-SWD transmit
-    power; without UAVs only the relayed SWDs transmit.
+    The denominator is the UAV transmit power ``uav_tx_w`` (empty when no
+    UAVs relay) plus the relayed-SWD transmit power.
     """
-    swd_power = sum(p.tx_power_w for p in cfg.relayed_pairs)
-    if with_uavs:
-        if pl is None:
-            raise RadioError("placement required for the with-UAVs efficiency")
-        power = float(np.sum(pl.uav_tx_w)) + swd_power
-    else:
-        power = swd_power
+    power = float(np.sum(uav_tx_w)) + sum(p.tx_power_w for p in cfg.relayed_pairs)
     if power <= 0.0:
         raise RadioError("total transmit power must be > 0")
     return capacity / power

@@ -9,8 +9,7 @@ the uniform/random deployment baselines.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,7 +33,6 @@ class RunConfig:
     eta_m: float = 20.0
     pm: Optional[float] = None  # None -> 1 / continuous dimension
     ref_divisions: int = 5
-    keep_history: bool = False
 
     def validate(self) -> None:
         if not 0.0 <= self.sigma1 <= self.sigma2 <= 1.0:
@@ -47,15 +45,13 @@ class RunConfig:
             raise ValueError("max_iters must be >= 0")
 
     def mutation_rate(self, cfg: ScenarioConfig) -> float:
-        return self.pm if self.pm is not None else 1.0 / (5 * cfg.n_max)
+        return self.pm if self.pm is not None else 1.0 / len(cfg.gene_bounds[0])
 
 
 @dataclass
 class SolverResult:
     final_front: list[Individual]
-    wall_time_s: float
     seed: int
-    history: list[list[tuple[float, float, float]]] = field(default_factory=list)
 
 
 def random_search_operator(cfg: ScenarioConfig, rng: np.random.Generator):
@@ -130,7 +126,7 @@ def _continuous_offspring(
     Parents are paired by a random permutation; each child keeps the
     discrete part of the parent it descends from.
     """
-    lower, upper = encoding.continuous_bounds(cfg)
+    lower, upper = cfg.gene_bounds
     pm = rc.mutation_rate(cfg)
     order = rng.permutation(len(parents))
     children: list[Solution] = [None] * len(parents)  # type: ignore[list-item]
@@ -148,26 +144,62 @@ def _continuous_offspring(
 
 
 def _mutate_discrete_plain(
-    sol: Solution, cfg: ScenarioConfig, pm: float, rng: np.random.Generator
-) -> None:
-    """Baseline discrete variation: per-gene uniform resampling at rate pm."""
-    if rng.random() < pm:
-        sol.n_active = int(rng.integers(cfg.n_min, cfg.n_max + 1))
-    for i in range(len(sol.assign)):
+    children: list[Solution], cfg: ScenarioConfig, pm: float, rng: np.random.Generator
+) -> list[Solution]:
+    """Baseline discrete variation: per-gene uniform resampling at rate pm, in place."""
+    for sol in children:
         if rng.random() < pm:
-            sol.assign[i] = rng.integers(0, sol.n_active)
-    # resampling the count can strand assignments beyond the new range
-    bad = sol.assign >= sol.n_active
-    if bad.any():
-        sol.assign[bad] = rng.integers(0, sol.n_active, size=int(bad.sum()))
-    for arr in (sol.uav_chan, sol.direct_chan):
-        for i in range(len(arr)):
+            sol.n_active = int(rng.integers(cfg.n_min, cfg.n_max + 1))
+        for i in range(len(sol.assign)):
             if rng.random() < pm:
-                arr[i] = rng.integers(0, cfg.u_channels)
+                sol.assign[i] = rng.integers(0, sol.n_active)
+        # resampling the count can strand assignments beyond the new range
+        bad = sol.assign >= sol.n_active
+        if bad.any():
+            sol.assign[bad] = rng.integers(0, sol.n_active, size=int(bad.sum()))
+        for arr in (sol.uav_chan, sol.direct_chan):
+            for i in range(len(arr)):
+                if rng.random() < pm:
+                    arr[i] = rng.integers(0, cfg.u_channels)
+    return children
 
 
 def _first_front(pop: list[Individual]) -> list[Individual]:
     return moea.fast_non_dominated_sort(pop)[0]
+
+
+def _moea(
+    cfg: ScenarioConfig,
+    rc: RunConfig,
+    discrete: Callable[[list[Individual], list[Solution], np.random.Generator], list[Solution]],
+    select: Callable[[list[Individual], np.random.Generator], list[Individual]],
+) -> SolverResult:
+    """The generational loop of nsga3fdu, nsga3 and nsga2.
+
+    SBX and polynomial mutation breed one child per parent, then
+    ``discrete(parents, children, rng)`` turns the children into offspring
+    genomes, and ``select(parents + offspring, rng)`` keeps the survivors.
+    Both steps look up their operators as module attributes at call time,
+    so a wrapper patched onto one after import is the one called.
+    """
+    rc.validate()
+    rng = np.random.default_rng(rc.seed)
+    population = _init_population(cfg, rc, rng)
+    for _ in range(rc.max_iters):
+        children = discrete(population, _continuous_offspring(population, cfg, rc, rng), rng)
+        offspring = [_evaluate(encoding.repair_continuous(sol, cfg, rng), cfg) for sol in children]
+        population = select(population + offspring, rng)
+    return SolverResult(final_front=_first_front(population), seed=rc.seed)
+
+
+def _nsga3_selection(rc: RunConfig):
+    refs = moea.das_dennis_points(3, rc.ref_divisions)
+    return lambda merged, rng: moea.nsga3_select(merged, rc.pop, refs, rng)
+
+
+def _plain_discrete(cfg: ScenarioConfig, rc: RunConfig):
+    pm = rc.mutation_rate(cfg)
+    return lambda parents, children, rng: _mutate_discrete_plain(children, cfg, pm, rng)
 
 
 def nsga3fdu(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
@@ -178,84 +210,34 @@ def nsga3fdu(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
     one whose UAV count is stepped and whose assignment/channels are
     regenerated, then selects survivors from the three-way merge.
     """
-    rc.validate()
-    rng = np.random.default_rng(rc.seed)
-    refs = moea.das_dennis_points(3, rc.ref_divisions)
-    t0 = time.perf_counter()
-    population = _init_population(cfg, rc, rng)
-    history: list[list[tuple[float, float, float]]] = []
-    for _ in range(rc.max_iters):
-        front1 = _first_front(population)
-        q_set = _continuous_offspring(population, cfg, rc, rng)
+
+    def learn_and_walk(parents, q_set, rng):
+        front1 = _first_front(parents)
         qp_set = [sol.copy() for sol in q_set]
         for i, sol in enumerate(q_set):
             donor = front1[int(rng.integers(len(front1)))].genome
-            q_set[i] = probabilistic_learning_operator(
-                sol, donor, rc.sigma1, rc.sigma2, cfg, rng
-            )
+            q_set[i] = probabilistic_learning_operator(sol, donor, rc.sigma1, rc.sigma2, cfg, rng)
         for sol in qp_set:
             new_n = uav_number_adjust(sol.n_active, cfg, rc.p_in, rng)
             sol.n_active = new_n
             sol.assign = rng.integers(0, new_n, size=cfg.m_pairs)
             sol.uav_chan = rng.integers(0, cfg.u_channels, size=cfg.n_max)
             sol.direct_chan = rng.integers(0, cfg.u_channels, size=cfg.k_pairs)
-        offspring = [
-            _evaluate(encoding.repair_continuous(sol, cfg, rng), cfg)
-            for sol in q_set + qp_set
-        ]
-        population = moea.nsga3_select(population + offspring, rc.pop, refs, rng)
-        if rc.keep_history:
-            history.append([ind.key() for ind in _first_front(population)])
-    final_front = _first_front(population)
-    return SolverResult(
-        final_front=final_front,
-        wall_time_s=time.perf_counter() - t0,
-        seed=rc.seed,
-        history=history,
-    )
+        return q_set + qp_set
 
-
-def _plain_moea(
-    cfg: ScenarioConfig,
-    rc: RunConfig,
-    select: Callable[[list[Individual], np.random.Generator], list[Individual]],
-) -> SolverResult:
-    rc.validate()
-    rng = np.random.default_rng(rc.seed)
-    pm = rc.mutation_rate(cfg)
-    t0 = time.perf_counter()
-    population = _init_population(cfg, rc, rng)
-    history: list[list[tuple[float, float, float]]] = []
-    for _ in range(rc.max_iters):
-        q_set = _continuous_offspring(population, cfg, rc, rng)
-        for sol in q_set:
-            _mutate_discrete_plain(sol, cfg, pm, rng)
-        offspring = [
-            _evaluate(encoding.repair_continuous(sol, cfg, rng), cfg) for sol in q_set
-        ]
-        population = select(population + offspring, rng)
-        if rc.keep_history:
-            history.append([ind.key() for ind in _first_front(population)])
-    final_front = _first_front(population)
-    return SolverResult(
-        final_front=final_front,
-        wall_time_s=time.perf_counter() - t0,
-        seed=rc.seed,
-        history=history,
-    )
+    return _moea(cfg, rc, learn_and_walk, _nsga3_selection(rc))
 
 
 def nsga3_plain(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
     """Conventional NSGA-III loop with naive discrete resampling."""
-    refs = moea.das_dennis_points(3, rc.ref_divisions)
-    return _plain_moea(
-        cfg, rc, lambda merged, rng: moea.nsga3_select(merged, rc.pop, refs, rng)
-    )
+    return _moea(cfg, rc, _plain_discrete(cfg, rc), _nsga3_selection(rc))
 
 
 def nsga2(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
     """Conventional NSGA-II loop with naive discrete resampling."""
-    return _plain_moea(cfg, rc, lambda merged, rng: moea.crowding_select(merged, rc.pop))
+    return _moea(
+        cfg, rc, _plain_discrete(cfg, rc), lambda merged, rng: moea.crowding_select(merged, rc.pop)
+    )
 
 
 def weighted_sum_ga(
@@ -273,8 +255,6 @@ def weighted_sum_ga(
         raise ValueError("weights must be non-negative and not all zero")
     rng = np.random.default_rng(rc.seed)
     pm = rc.mutation_rate(cfg)
-    t0 = time.perf_counter()
-
     anchor = ud_baseline(cfg, np.random.default_rng(rc.seed)).objectives
     norm = np.array(
         [max(abs(anchor.neg_f1), 1.0), max(abs(anchor.f2), 1.0), max(abs(anchor.f3), 1.0)]
@@ -291,20 +271,14 @@ def weighted_sum_ga(
         for _ in range(rc.pop):
             a, b = population[int(rng.integers(rc.pop))], population[int(rng.integers(rc.pop))]
             parents.append(a if scalar(a) <= scalar(b) else b)
-        q_set = _continuous_offspring(parents, cfg, rc, rng)
-        for sol in q_set:
-            _mutate_discrete_plain(sol, cfg, pm, rng)
-        population = [
-            _evaluate(encoding.repair_continuous(sol, cfg, rng), cfg) for sol in q_set
-        ]
+        q_set = _mutate_discrete_plain(_continuous_offspring(parents, cfg, rc, rng), cfg, pm, rng)
+        population = [_evaluate(encoding.repair_continuous(sol, cfg, rng), cfg) for sol in q_set]
         gen_best = min(population, key=scalar)
         if scalar(gen_best) < scalar(best):
             best = gen_best
         else:
             population[int(np.argmax([scalar(i) for i in population]))] = best
-    return SolverResult(
-        final_front=[best], wall_time_s=time.perf_counter() - t0, seed=rc.seed
-    )
+    return SolverResult(final_front=[best], seed=rc.seed)
 
 
 def ud_baseline(cfg: ScenarioConfig, rng: np.random.Generator) -> Individual:

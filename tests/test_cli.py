@@ -77,6 +77,16 @@ def test_usage_errors(workspace, tmp_path):
     assert main(["run", "--scenario", str(bad), "--algo", "ud", "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["pick", "--in", str(outdir), "--strategy", "minuav", "--trial", "99"]) == EXIT_USAGE
     assert main(["stats", "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+    text = (outdir / "reports.json").read_text()
+    no_picks, pick_past_end = json.loads(text), json.loads(text)
+    del no_picks["trials"][0]["picks"]
+    pick_past_end["trials"][1]["picks"]["minuav"] = len(pick_past_end["trials"][1]["front"])
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for doc in ({"algo": "nsga3fdu", "trials": []}, no_picks, pick_past_end):
+        (broken / "reports.json").write_text(json.dumps(doc))
+        assert main(["stats", "--in", str(broken), "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+        assert main(["eff", "--in", str(broken), "--scenario", str(scenario)]) == EXIT_USAGE
 
 
 def test_help_exits_ok(capsys):

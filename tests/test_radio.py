@@ -299,11 +299,7 @@ def test_direct_only_capacity_seed_deterministic(scale_one):
 def test_comm_energy_efficiency():
     rng = np.random.default_rng(14)
     cfg = make_config(rng, m=2, k=0, n_min=1, n_max=1, u=1)
-    pl = make_placement(rng, cfg, n=1)
-    pl.uav_tx_w = np.array([0.98])
-    without = radio.comm_energy_efficiency(1e6, None, cfg, with_uavs=False)
+    without = radio.comm_energy_efficiency(1e6, [], cfg)
     assert without == pytest.approx(1e6 / 0.02, rel=1e-12)
-    with_uav = radio.comm_energy_efficiency(1e6, pl, cfg, with_uavs=True)
+    with_uav = radio.comm_energy_efficiency(1e6, np.array([0.98]), cfg)
     assert with_uav == pytest.approx(1e6 / 1.0, rel=1e-12)
-    with pytest.raises(radio.RadioError):
-        radio.comm_energy_efficiency(1e6, None, cfg, with_uavs=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from skyrelay import encoding
+from skyrelay import encoding, moea, solvers
 from skyrelay.encoding import ObjectiveVector
 from skyrelay.moea import Individual, dominates
 from skyrelay.solvers import (
@@ -136,11 +136,34 @@ def test_zero_iters_returns_initial_front():
     assert len(res.final_front) <= rc.pop
 
 
-def test_history_kept_when_asked():
-    cfg = small_cfg()
-    res = nsga3fdu(cfg, RunConfig(pop=8, max_iters=3, seed=6, keep_history=True))
-    assert len(res.history) == 3
-    assert all(isinstance(front, list) and front for front in res.history)
+@pytest.mark.parametrize(
+    ("solver", "per_gen"),
+    [
+        (nsga3fdu, {"nsga3_select": 1, "crowding_select": 0, "learn": 8, "walk": 8}),
+        (nsga3_plain, {"nsga3_select": 1, "crowding_select": 0, "learn": 0, "walk": 0}),
+        (nsga2, {"nsga3_select": 0, "crowding_select": 1, "learn": 0, "walk": 0}),
+    ],
+)
+def test_operators_looked_up_at_call_time(solver, per_gen, monkeypatch):
+    # the per-layer benchmark tracer patches these attributes after import
+    counts = dict.fromkeys(per_gen, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, attr, name in (
+        (moea, "nsga3_select", "nsga3_select"),
+        (moea, "crowding_select", "crowding_select"),
+        (solvers, "probabilistic_learning_operator", "learn"),
+        (solvers, "uav_number_adjust", "walk"),
+    ):
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+    solver(small_cfg(), RunConfig(pop=8, max_iters=3, seed=6))
+    assert counts == {name: 3 * n for name, n in per_gen.items()}
 
 
 def test_weighted_sum_ga():
