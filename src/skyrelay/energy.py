@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -17,14 +18,20 @@ class EnergyError(ValueError):
 class FlightPlan:
     """Straight-line deployment: one destination and speed per UAV.
 
-    ``distances`` is computed from the destinations at construction; build
-    a new plan rather than moving the destinations of an existing one.
+    ``distances`` is computed from the destinations at construction, the
+    per-UAV flight times and energies on first use; :meth:`slots` shares
+    all three with the plans it cuts.  Build a new plan rather than moving
+    the destinations or changing the speeds of an existing one.
     """
 
     dest_xyz: np.ndarray  # (N, 3) m
     speed_m_s: np.ndarray  # (N,) m/s
     origin_xyz: tuple[float, float, float]
     distances: np.ndarray = field(init=False, repr=False)  # (N,) m from the origin
+    _times: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    _energies: Optional[tuple[EnergyParams, np.ndarray]] = field(
+        init=False, repr=False, default=None
+    )
 
     def __post_init__(self) -> None:
         offset = self.dest_xyz - np.asarray(self.origin_xyz)
@@ -36,7 +43,35 @@ class FlightPlan:
         return len(self.dest_xyz)
 
     def flight_times(self) -> np.ndarray:
-        return self.distances / self.speed_m_s
+        if self._times is None:
+            self._times = self.distances / self.speed_m_s
+        return self._times
+
+    def flight_energies(self, ep: EnergyParams) -> np.ndarray:
+        """Energy (J) of each UAV's flight under ``ep``, as :func:`flight_energy`."""
+        if self._energies is None or self._energies[0] is not ep:
+            speeds = self.speed_m_s
+            if (speeds <= 0.0).any():
+                raise EnergyError("speed must be > 0")
+            potential = (
+                ep.uav_mass_kg * ep.gravity_m_s2 * (self.dest_xyz[:, 2] - self.origin_xyz[2])
+            )
+            energies = propulsion_power(speeds, ep) * (self.distances / speeds) + potential
+            self._energies = (ep, energies)
+        return self._energies[1]
+
+    def slots(self, start: int, stop: int) -> "FlightPlan":
+        """The plan of UAVs ``start:stop``: views of this plan's arrays."""
+        part = object.__new__(FlightPlan)
+        part.dest_xyz = self.dest_xyz[start:stop]
+        part.speed_m_s = self.speed_m_s[start:stop]
+        part.origin_xyz = self.origin_xyz
+        part.distances = self.distances[start:stop]
+        part._times = None if self._times is None else self._times[start:stop]
+        part._energies = (
+            None if self._energies is None else (self._energies[0], self._energies[1][start:stop])
+        )
+        return part
 
 
 def propulsion_power(v, ep: EnergyParams):
@@ -81,12 +116,9 @@ def average_flight_energy(plan: FlightPlan, ep: EnergyParams) -> float:
     """Mean deployment flight energy (J) over the plan's UAVs."""
     if plan.n_uavs == 0:
         raise EnergyError("flight plan has no UAVs")
-    speeds = plan.speed_m_s
-    if (speeds <= 0.0).any():
-        raise EnergyError("speed must be > 0")
-    potential = ep.uav_mass_kg * ep.gravity_m_s2 * (plan.dest_xyz[:, 2] - plan.origin_xyz[2])
-    energies = propulsion_power(speeds, ep) * (plan.distances / speeds) + potential
-    return float(energies.sum()) / plan.n_uavs
+    # numpy's pairwise sum depends only on the length, so a slice of a
+    # batch sums exactly as a plan of its own would
+    return float(plan.flight_energies(ep).sum()) / plan.n_uavs
 
 
 def flight_time_spread(plan: FlightPlan) -> float:

@@ -182,24 +182,30 @@ def nsga3_select(
     normalized = _normalize(keys)
     niche_of, distance = _associate(normalized, refs.points)
 
-    n_refs = len(refs.points)
-    niche_count = np.zeros(n_refs, dtype=int)
-    for idx in range(len(chosen)):
-        niche_count[niche_of[idx]] += 1
-
-    remaining = {len(chosen) + i for i in range(len(split))}
+    niche_list = niche_of.tolist()
+    niche_count = [0] * len(refs.points)
+    for j in niche_list[: len(chosen)]:
+        niche_count[j] += 1
+    # Each niche's candidates, listed once in the iteration order of a set
+    # of their indices (ascending modulo the set's table size, not plain
+    # ascending): the rng draws below pick by position in these lists.
+    members: dict[int, list[int]] = {}
+    for i in set(range(len(chosen), len(pool))):
+        members.setdefault(niche_list[i], []).append(i)
+    live = sorted(members)
     while len(chosen) < target:
-        live_niches = sorted({niche_of[i] for i in remaining})
-        counts = np.array([niche_count[j] for j in live_niches])
-        least = [j for j, c in zip(live_niches, counts) if c == counts.min()]
+        fewest = min(niche_count[j] for j in live)
+        least = [j for j in live if niche_count[j] == fewest]
         niche = least[int(rng.integers(len(least)))]
-        members = [i for i in remaining if niche_of[i] == niche]
+        group = members[niche]
         if niche_count[niche] == 0:
-            pick = min(members, key=lambda i: distance[i])
+            pick = min(group, key=lambda i: distance[i])
         else:
-            pick = members[int(rng.integers(len(members)))]
+            pick = group[int(rng.integers(len(group)))]
         chosen.append(pool[pick])
-        remaining.remove(pick)
+        group.remove(pick)
+        if not group:
+            live.remove(niche)
         niche_count[niche] += 1
     return chosen
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,14 +25,40 @@ class RadioError(ValueError):
 
 
 @dataclass(eq=False)
+class UavGains:
+    """Gain products of a run of UAVs that involve no discrete gene.
+
+    Columns (rows of ``txhd``) follow the UAVs.  :meth:`slots` cuts the
+    products of some of the UAVs as views, so one batch serves many
+    placements.
+    """
+
+    phu: np.ndarray  # (M, N) relayed-SWD power x SWD -> UAV gain
+    txhd: np.ndarray  # (N, M) UAV transmit power x UAV -> relayed-DWD gain
+    pphk: np.ndarray  # (K, N) direct-SWD weighted power x direct SWD -> UAV gain
+
+    def slots(self, start: int, stop: int) -> "UavGains":
+        return UavGains(
+            self.phu[:, start:stop], self.txhd[start:stop], self.pphk[:, start:stop]
+        )
+
+
+@dataclass(eq=False)
 class Placement:
-    """One concrete deployment: UAV states plus assignment and channels."""
+    """One concrete deployment: UAV states plus assignment and channels.
+
+    ``gains`` holds the placement's :class:`UavGains` when they were
+    computed beforehand (in a batch, see :func:`skyrelay.encoding.geometries`)
+    and must then match ``uav_xyz`` and ``uav_tx_w``; left None,
+    :func:`link_rates` computes them.
+    """
 
     uav_xyz: np.ndarray  # (N, 3) m
     uav_tx_w: np.ndarray  # (N,) W
     assignment: np.ndarray  # (M,) int, UAV index per relayed pair
     uav_channel: np.ndarray  # (N,) int
     direct_channel: np.ndarray  # (K,) int
+    gains: Optional[UavGains] = None
 
     @property
     def n_uavs(self) -> int:
@@ -245,6 +272,8 @@ class RadioConstants:
         self.pp_gkr = pp_dir[:, None] * gkr  # direct SWD -> relayed DWD, weighted
         self.p_grr = p_rel[:, None] * grr  # relayed SWD -> relayed DWD, weighted
         self.p_grr_own = p_rel * np.diag(grr)  # each pair's own direct leg
+        self.m_pairs = cfg.m_pairs
+        self.n_ground = len(ground)
         self.pairs = np.arange(cfg.m_pairs)
         self.noise_w = ch.noise_w
         self.four_pi_fc = 4.0 * np.pi * ch.carrier_hz
@@ -263,6 +292,16 @@ class RadioConstants:
         fspl = 20.0 * np.log10(self.four_pi_fc * d / ch.light_speed_m_s)
         return 10.0 ** (-(los_term + fspl + ch.eta_nlos) / 10.0)
 
+    def uav_gains(self, uav_xyz: np.ndarray, uav_tx_w: np.ndarray) -> UavGains:
+        """:class:`UavGains` of UAVs at ``uav_xyz`` (N, 3) transmitting ``uav_tx_w``."""
+        m = self.m_pairs
+        h = self.a2g_gains(uav_xyz)
+        return UavGains(
+            phu=self.p_rel[:, None] * h[:m],
+            txhd=uav_tx_w[:, None] * h[m : 2 * m].T,
+            pphk=self.pp_dir[:, None] * h[2 * m :],
+        )
+
 
 def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
     """Expected rate of every relayed pair through its assigned UAV (bps).
@@ -271,6 +310,7 @@ def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
     """
     mu = _check_indices(pl, cfg)
     rc = cfg.radio_constants
+    g = pl.gains if pl.gains is not None else rc.uav_gains(pl.uav_xyz, pl.uav_tx_w)
     sigma2 = rc.noise_w
     pairs = rc.pairs
     n_uavs = pl.n_uavs
@@ -280,9 +320,6 @@ def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
     mu_col = np.maximum(mu, 1)[:, None]
 
     m = cfg.m_pairs
-    h = rc.a2g_gains(pl.uav_xyz)
-    hu = h[:m]  # SWD -> UAV, (M, N)
-    hd = h[m : 2 * m]  # DWD <- UAV, (M, N)
     one_hot = np.zeros((m, n_uavs))
     one_hot[pairs, assign] = 1.0
 
@@ -290,30 +327,30 @@ def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
 
     # Expected uplink interference is a property of the receiving UAV; the
     # direct legs see each UAV group's SWDs over the ground.  Rows of idle
-    # UAVs are zero here, and up_mask and dn_mask drop them.
-    group_up = one_hot.T @ (rc.p_rel[:, None] * hu) / mu_col  # (N_tx_group, N_rx)
+    # UAVs are zero here, and up_mask and dn_mask drop them.  A batch slice
+    # of phu is copied to the fresh C-ordered operand the matmul gets from
+    # uav_gains, so BLAS sums in the same order either way.
+    group_up = one_hot.T @ np.ascontiguousarray(g.phu) / mu_col  # (N_tx_group, N_rx)
     group_g = one_hot.T @ rc.p_grr / mu_col  # (N, M)
     up_mask = same_ch_uav & ~np.eye(n_uavs, dtype=bool) & tx_col
     i_up_uav = (group_up * up_mask).sum(axis=0)  # (N,)
 
     if cfg.k_pairs:
-        hk = h[2 * m :]  # direct SWD -> UAV, (K, N)
         direct_channel = pl.direct_channel[:, None]
         dir_on_uav = direct_channel == uav_channel[None, :]  # (K, N)
-        i_up_uav = i_up_uav + (rc.pp_dir[:, None] * hk * dir_on_uav).sum(axis=0)
+        i_up_uav = i_up_uav + (g.pphk * dir_on_uav).sum(axis=0)
         dir_on_pair = direct_channel == uav_channel[assign][None, :]  # (K, M)
         i_dir_ground = (rc.pp_gkr * dir_on_pair).sum(axis=0)  # (M,)
     else:
         i_dir_ground = np.zeros(m)
 
-    gamma_up = rc.p_rel * hu[pairs, assign] / (sigma2 + i_up_uav[assign])
+    gamma_up = g.phu[pairs, assign] / (sigma2 + i_up_uav[assign])
 
     # Downlink interference at each DWD from co-channel transmitting UAVs.
     dn_mask = same_ch_uav[:, assign] & tx_col  # (N, M)
     dn_mask[assign, pairs] = False
-    uav_tx_w = pl.uav_tx_w
-    i_dn = ((uav_tx_w[:, None] * hd.T) * dn_mask).sum(axis=0) + i_dir_ground
-    gamma_dn = uav_tx_w[assign] * hd[pairs, assign] / (sigma2 + i_dn)
+    i_dn = (g.txhd * dn_mask).sum(axis=0) + i_dir_ground
+    gamma_dn = g.txhd[assign, pairs] / (sigma2 + i_dn)
 
     i_leg = (group_g * dn_mask).sum(axis=0) + i_dir_ground
     gamma_direct = rc.p_grr_own / (sigma2 + i_leg)

@@ -73,24 +73,15 @@ def probabilistic_learning_operator(
     part is regenerated; between the thresholds it is kept; above
     ``sigma2`` the UAV count, assignment and channels are copied from
     ``best`` (the count comes along so the assignment stays in domain).
-    The continuous part is never touched here.
+    The result shares ``sol``'s continuous arrays and owns its discrete ones.
     """
-    out = sol.copy()
     r = rng.random()
     if r < sigma1:
-        n_active, assign, uav_chan, direct_chan = encoding.random_discrete(cfg, rng)
-        out.n_active = n_active
-        out.assign = assign
-        out.uav_chan = uav_chan
-        out.direct_chan = direct_chan
-    elif r < sigma2:
-        pass
-    else:
-        out.n_active = best.n_active
-        out.assign = best.assign.copy()
-        out.uav_chan = best.uav_chan.copy()
-        out.direct_chan = best.direct_chan.copy()
-    return out
+        return sol.with_discrete(*encoding.random_discrete(cfg, rng))
+    src = sol if r < sigma2 else best
+    return sol.with_discrete(
+        src.n_active, src.assign.copy(), src.uav_chan.copy(), src.direct_chan.copy()
+    )
 
 
 def uav_number_adjust(n: int, cfg: ScenarioConfig, p_in: float, rng: np.random.Generator) -> int:
@@ -107,12 +98,18 @@ def uav_number_adjust(n: int, cfg: ScenarioConfig, p_in: float, rng: np.random.G
     return n + 1 if rng.random() < p_in else n - 1
 
 
-def _evaluate(sol: Solution, cfg: ScenarioConfig) -> Individual:
-    return Individual(genome=sol, objectives=encoding.evaluate(sol, cfg))
+def _evaluate(sols: list[Solution], cfg: ScenarioConfig) -> list[Individual]:
+    """Two-stage evaluation: batched geometry passes over ``sols``, each
+    solution's schedule scored as its geometry arrives (through the module
+    attribute), results in the order of ``sols``."""
+    scored: list[Individual] = [None] * len(sols)  # type: ignore[list-item]
+    for i, geometry in encoding.geometries(sols, cfg):
+        scored[i] = Individual(genome=sols[i], objectives=encoding.evaluate(sols[i], cfg, geometry))
+    return scored
 
 
 def _init_population(cfg: ScenarioConfig, rc: RunConfig, rng: np.random.Generator) -> list[Individual]:
-    return [_evaluate(encoding.random_solution(cfg, rng), cfg) for _ in range(rc.pop)]
+    return _evaluate([encoding.random_solution(cfg, rng) for _ in range(rc.pop)], cfg)
 
 
 def _continuous_offspring(
@@ -137,9 +134,14 @@ def _continuous_offspring(
         c1 = moea.poly_mutation(c1, lower, upper, rc.eta_m, pm, rng)
         c2 = moea.poly_mutation(c2, lower, upper, rc.eta_m, pm, rng)
         for parent_idx, vec in ((a, c1), (b, c2)):
-            child = parents[parent_idx].genome.copy()
-            child.set_continuous_vector(vec)
-            children[parent_idx] = child
+            parent = parents[parent_idx].genome
+            children[parent_idx] = Solution.from_parts(
+                vec,
+                parent.n_active,
+                parent.assign.copy(),
+                parent.uav_chan.copy(),
+                parent.direct_chan.copy(),
+            )
     return children
 
 
@@ -187,7 +189,7 @@ def _moea(
     population = _init_population(cfg, rc, rng)
     for _ in range(rc.max_iters):
         children = discrete(population, _continuous_offspring(population, cfg, rc, rng), rng)
-        offspring = [_evaluate(encoding.repair_continuous(sol, cfg, rng), cfg) for sol in children]
+        offspring = _evaluate([encoding.repair_continuous(sol, cfg, rng) for sol in children], cfg)
         population = select(population + offspring, rng)
     return SolverResult(final_front=_first_front(population), seed=rc.seed)
 
@@ -208,21 +210,30 @@ def nsga3fdu(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
     Each generation breeds two offspring sets from the parents: one whose
     discrete part is updated by the probabilistic learning operator, and
     one whose UAV count is stepped and whose assignment/channels are
-    regenerated, then selects survivors from the three-way merge.
+    regenerated, then selects survivors from the three-way merge.  A Q
+    child and its Q' sibling share their continuous arrays, so stage one
+    of evaluation computes their geometry once.
     """
 
-    def learn_and_walk(parents, q_set, rng):
+    def learn_and_walk(parents, children, rng):
         front1 = _first_front(parents)
-        qp_set = [sol.copy() for sol in q_set]
-        for i, sol in enumerate(q_set):
-            donor = front1[int(rng.integers(len(front1)))].genome
-            q_set[i] = probabilistic_learning_operator(sol, donor, rc.sigma1, rc.sigma2, cfg, rng)
-        for sol in qp_set:
+        q_set = [
+            probabilistic_learning_operator(
+                sol, front1[int(rng.integers(len(front1)))].genome, rc.sigma1, rc.sigma2, cfg, rng
+            )
+            for sol in children
+        ]
+        qp_set = []
+        for sol in children:
             new_n = uav_number_adjust(sol.n_active, cfg, rc.p_in, rng)
-            sol.n_active = new_n
-            sol.assign = rng.integers(0, new_n, size=cfg.m_pairs)
-            sol.uav_chan = rng.integers(0, cfg.u_channels, size=cfg.n_max)
-            sol.direct_chan = rng.integers(0, cfg.u_channels, size=cfg.k_pairs)
+            qp_set.append(
+                sol.with_discrete(
+                    new_n,
+                    rng.integers(0, new_n, size=cfg.m_pairs),
+                    rng.integers(0, cfg.u_channels, size=cfg.n_max),
+                    rng.integers(0, cfg.u_channels, size=cfg.k_pairs),
+                )
+            )
         return q_set + qp_set
 
     return _moea(cfg, rc, learn_and_walk, _nsga3_selection(rc))
@@ -272,7 +283,7 @@ def weighted_sum_ga(
             a, b = population[int(rng.integers(rc.pop))], population[int(rng.integers(rc.pop))]
             parents.append(a if scalar(a) <= scalar(b) else b)
         q_set = _mutate_discrete_plain(_continuous_offspring(parents, cfg, rc, rng), cfg, pm, rng)
-        population = [_evaluate(encoding.repair_continuous(sol, cfg, rng), cfg) for sol in q_set]
+        population = _evaluate([encoding.repair_continuous(sol, cfg, rng) for sol in q_set], cfg)
         gen_best = min(population, key=scalar)
         if scalar(gen_best) < scalar(best):
             best = gen_best
@@ -302,12 +313,12 @@ def ud_baseline(cfg: ScenarioConfig, rng: np.random.Generator) -> Individual:
     sol.assign = rng.integers(0, n, size=cfg.m_pairs)
     sol.uav_chan = rng.integers(0, cfg.u_channels, size=cfg.n_max)
     sol.direct_chan = rng.integers(0, cfg.u_channels, size=cfg.k_pairs)
-    return _evaluate(sol, cfg)
+    return _evaluate([sol], cfg)[0]
 
 
 def rd_baseline(cfg: ScenarioConfig, rng: np.random.Generator) -> Individual:
     """Random deployment: everything uniform within its domain."""
-    return _evaluate(encoding.random_solution(cfg, rng), cfg)
+    return _evaluate([encoding.random_solution(cfg, rng)], cfg)[0]
 
 
 STRATEGIES = ("maxnetcap", "minuav", "minaveenergy")

@@ -2,9 +2,9 @@
 
 Everything here is written directly from the model definitions with plain
 loops over explicit interferer sets, favoring obviousness over speed, and
-shares no code with ``skyrelay``.  The last three functions are earlier
-per-element versions of ``skyrelay.moea`` operators, kept as bit-for-bit
-references for the faster ones.
+shares no code with ``skyrelay``.  The last four functions are earlier
+versions of ``skyrelay.moea`` operators, kept as bit-for-bit references
+for the faster ones.
 """
 
 from __future__ import annotations
@@ -269,3 +269,30 @@ def poly_mutation(x, lower, upper, eta_m, pm, rng):
             deltaq = 1.0 - val**mut_pow
         out[i] = min(max(out[i] + deltaq * span, lo), hi)
     return out
+
+
+def nsga3_niching(n_chosen, niche_of, distance, n_refs, target, rng) -> list[int]:
+    """Pool indices NSGA-III niching adds after the first ``n_chosen``.
+
+    The earlier loop: it rebuilds the live niches, their counts and the
+    member list from the set of remaining candidates for every pick.
+    """
+    niche_count = np.zeros(n_refs, dtype=int)
+    for idx in range(n_chosen):
+        niche_count[niche_of[idx]] += 1
+    remaining = {n_chosen + i for i in range(len(niche_of) - n_chosen)}
+    picks = []
+    while n_chosen + len(picks) < target:
+        live_niches = sorted({niche_of[i] for i in remaining})
+        counts = np.array([niche_count[j] for j in live_niches])
+        least = [j for j, c in zip(live_niches, counts) if c == counts.min()]
+        niche = least[int(rng.integers(len(least)))]
+        members = [i for i in remaining if niche_of[i] == niche]
+        if niche_count[niche] == 0:
+            pick = min(members, key=lambda i: distance[i])
+        else:
+            pick = members[int(rng.integers(len(members)))]
+        picks.append(pick)
+        remaining.remove(pick)
+        niche_count[niche] += 1
+    return picks

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyrelay import encoding, energy, radio
 from skyrelay.encoding import (
@@ -10,6 +12,7 @@ from skyrelay.encoding import (
     Solution,
     continuous_bounds,
     evaluate,
+    geometries,
     pad_solution,
     random_discrete,
     random_solution,
@@ -215,3 +218,119 @@ def test_solution_record(scale_one):
     assert len(rec["uav_channel"]) == n
     assert rec["assignment"] == sol.assign.tolist()
     assert len(rec["direct_channel"]) == scale_one.k_pairs
+
+
+def test_evaluate_rejects_assignment_outside_active_slots(scale_one):
+    # evaluate leaves the assignment range to radio.link_rates (a RadioError)
+    rng = np.random.default_rng(11)
+    sol = random_solution(scale_one, rng)
+    for bad_slot in (sol.n_active, -1):
+        bad = sol.copy()
+        bad.assign[0] = bad_slot
+        with pytest.raises(ValueError):
+            evaluate(bad, scale_one)
+
+
+def _mixed_batch(cfg, rng):
+    """Every UAV count, Q/Q' pairs sharing continuous arrays (each order of
+    their counts, apart in the batch) and more columns than one chunk."""
+
+    def walked(sol, n):
+        return sol.with_discrete(
+            n,
+            rng.integers(0, n, cfg.m_pairs),
+            rng.integers(0, cfg.u_channels, cfg.n_max),
+            rng.integers(0, cfg.u_channels, cfg.k_pairs),
+        )
+
+    batch = [walked(random_solution(cfg, rng), n) for n in range(cfg.n_min, cfg.n_max + 1)]
+    pairs = []
+    for low_first in (True, False):
+        q = walked(random_solution(cfg, rng), cfg.n_min + 1)
+        qp = walked(q, cfg.n_max if low_first else cfg.n_min)
+        batch.insert(1, q)
+        batch.append(qp)
+        pairs.append((q, qp))
+    while sum(s.n_active for s in batch) <= 2 * encoding.STAGE_ONE_GAINS // (
+        cfg.radio_constants.n_ground
+    ):
+        batch.append(random_solution(cfg, rng))
+    return batch, pairs
+
+
+@pytest.mark.parametrize("scale", ["one", "two"])
+def test_stage_one_batch_matches_lone_evaluation(scale, scale_one, scale_two):
+    # perfbench/verify.py re-evaluates front members alone and expects
+    # exactly the objectives the batched loop stored
+    cfg = scale_one if scale == "one" else scale_two
+    batch, pairs = _mixed_batch(cfg, np.random.default_rng(12))
+    geoms = dict(geometries(batch, cfg))
+    assert sorted(geoms) == list(range(len(batch)))
+    for q, qp in pairs:
+        g_q, g_qp = (geoms[next(i for i, s in enumerate(batch) if s is t)] for t in (q, qp))
+        assert np.shares_memory(g_q.plan.dest_xyz, g_qp.plan.dest_xyz)
+    for i, sol in enumerate(batch):
+        assert evaluate(sol, cfg, geoms[i]) == evaluate(sol, cfg)
+
+
+def test_evaluate_rejects_mismatched_geometry(scale_one):
+    rng = np.random.default_rng(13)
+    sol = random_solution(scale_one, rng)
+    other = sol.with_discrete(
+        sol.n_active - 1 if sol.n_active > scale_one.n_min else sol.n_active + 1,
+        sol.assign % scale_one.n_min,
+        sol.uav_chan,
+        sol.direct_chan,
+    )
+    ((_, geometry),) = geometries([other], scale_one)
+    with pytest.raises(ValueError):
+        evaluate(sol, scale_one, geometry)
+
+
+def _slot_permuted(sol, rng):
+    n = sol.n_active
+    perm = rng.permutation(n)
+    order = np.concatenate([perm, np.arange(n, len(sol.x))])
+    return Solution(
+        x=sol.x[order],
+        y=sol.y[order],
+        z=sol.z[order],
+        p=sol.p[order],
+        v=sol.v[order],
+        assign=np.argsort(perm)[sol.assign],
+        uav_chan=sol.uav_chan[order],
+        direct_chan=sol.direct_chan.copy(),
+        n_active=n,
+    )
+
+
+def _channel_permuted(sol, cfg, rng):
+    perm = rng.permutation(cfg.u_channels)
+    return sol.with_discrete(sol.n_active, sol.assign, perm[sol.uav_chan], perm[sol.direct_chan])
+
+
+def _assert_same_objectives(a, b):
+    assert (a.f2, a.feasible) == (b.f2, b.feasible)
+    assert a.neg_f1 == pytest.approx(b.neg_f1, rel=1e-12)
+    assert a.f3 == pytest.approx(b.f3, rel=1e-12)
+    assert a.violation == pytest.approx(b.violation, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), two=st.booleans())
+def test_relabelling_invariance_in_a_batch(seed, two, scale_one, scale_two):
+    # relabelling UAV slots (assign remapped) or channels changes no
+    # objective; the relabelled copies sit at other offsets of one batch
+    cfg = scale_two if two else scale_one
+    rng = np.random.default_rng(seed)
+    base = [random_solution(cfg, rng) for _ in range(3)]
+    slots = [_slot_permuted(sol, rng) for sol in base]
+    channels = [_channel_permuted(sol, cfg, rng) for sol in base]
+    batch = slots + base + channels
+    scores = [None] * len(batch)
+    for i, g in geometries(batch, cfg):
+        scores[i] = evaluate(batch[i], cfg, g)
+    k = len(base)
+    for i in range(k):
+        _assert_same_objectives(scores[k + i], scores[i])
+        _assert_same_objectives(scores[k + i], scores[2 * k + i])

@@ -209,6 +209,44 @@ def test_nsga3_select_deterministic():
     assert [i.key() for i in a] == [i.key() for i in b]
 
 
+def _plane_pop(rng, n):
+    # mutually non-dominated points: one front larger than any target
+    w = rng.dirichlet(np.ones(3), size=n)
+    return [ind(tuple(row * [1e6, 2.0, 1e3])) for row in w]
+
+
+@pytest.mark.parametrize(
+    ("make_pop", "size", "target"),
+    [(_random_pop, 60, 20), (_random_pop, 200, 100), (_plane_pop, 40, 20), (_plane_pop, 200, 100)],
+)
+def test_nsga3_select_matches_reference_niching(make_pop, size, target):
+    # the per-pick loop it replaced; same picks and the same rng draws
+    from skyrelay import moea
+
+    refs = das_dennis_points(3, 5)
+    rng = np.random.default_rng(size + target)
+    for trial in range(20):
+        merged = make_pop(rng, size)
+        got_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+        got = nsga3_select(list(merged), target, refs, got_rng)
+        chosen, split = [], []
+        for front in fast_non_dominated_sort(merged):
+            if len(chosen) + len(front) > target:
+                split = front
+                break
+            chosen.extend(front)
+        pool = chosen + split
+        niche_of, distance = moea._associate(
+            moea._normalize(np.array([i.key() for i in pool])), refs.points
+        )
+        picks = oracle.nsga3_niching(
+            len(chosen), niche_of, distance, len(refs.points), target, ref_rng
+        )
+        expected = chosen + [pool[i] for i in picks]
+        assert [id(i) for i in got] == [id(i) for i in expected]
+        assert got_rng.random() == ref_rng.random()
+
+
 def test_nsga3_select_rejects_small_pool():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError):
