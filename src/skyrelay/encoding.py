@@ -9,8 +9,10 @@ zeroed, so they explore meaningfully when the UAV count later grows.
 Evaluation has two stages.  :func:`geometries` computes, for a whole batch
 of solutions in one numpy pass, everything the continuous genes alone
 decide: the air-to-ground gain products and each UAV's flight distance,
-energy and time.  :func:`evaluate` then scores one solution's discrete
-schedule from its share of that batch.
+energy and time.  Stage two scores the discrete schedules:
+:func:`schedule_rates` rates a batch of solutions with one UAV count in
+one :func:`radio.link_rates` call, and :func:`evaluate` scores each
+solution from its share of both batches.
 """
 
 from __future__ import annotations
@@ -115,16 +117,6 @@ class Solution:
         """Concatenated continuous genes (all padded slots) for variation."""
         return np.concatenate([self.x, self.y, self.z, self.p, self.v])
 
-    def set_continuous_vector(self, vec: np.ndarray) -> None:
-        n = len(self.x)
-        self.x, self.y, self.z, self.p, self.v = (
-            vec[0:n].copy(),
-            vec[n : 2 * n].copy(),
-            vec[2 * n : 3 * n].copy(),
-            vec[3 * n : 4 * n].copy(),
-            vec[4 * n : 5 * n].copy(),
-        )
-
 
 def continuous_bounds(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper bound vectors matching ``Solution.continuous_vector``."""
@@ -189,31 +181,15 @@ def repair_continuous(sol: Solution, cfg: ScenarioConfig, rng: np.random.Generat
     return out
 
 
-def pad_solution(sol: Solution, cfg: ScenarioConfig, rng: np.random.Generator) -> Solution:
-    """Extend all per-UAV arrays to ``n_max`` slots with random in-bounds genes."""
-    out = sol.copy()
-    n = cfg.n_max
-    missing = n - len(out.x)
-    if missing <= 0:
-        return out
-    out.x = np.concatenate([out.x, rng.uniform(cfg.l_min_m, cfg.l_max_m, missing)])
-    out.y = np.concatenate([out.y, rng.uniform(cfg.l_min_m, cfg.l_max_m, missing)])
-    out.z = np.concatenate([out.z, rng.uniform(cfg.z_min_m, cfg.z_max_m, missing)])
-    out.p = np.concatenate([out.p, rng.uniform(cfg.p_min_w, cfg.p_max_w, missing)])
-    out.v = np.concatenate([out.v, rng.uniform(cfg.v_min_m_s, cfg.v_max_m_s, missing)])
-    out.uav_chan = np.concatenate(
-        [out.uav_chan, rng.integers(0, cfg.u_channels, n - len(out.uav_chan))]
-    )
-    return out
-
-
 def _check_counts_and_channels(sol: Solution, cfg: ScenarioConfig) -> None:
     if not cfg.n_min <= sol.n_active <= cfg.n_max:
         raise ValueError(f"n_active={sol.n_active} outside [{cfg.n_min}, {cfg.n_max}]")
     if len(sol.assign) != cfg.m_pairs:
         raise ValueError("assignment length != number of relayed pairs")
     for name, arr in (("uav_chan", sol.uav_chan), ("direct_chan", sol.direct_chan)):
-        if len(arr) and (arr.min() < 0 or arr.max() >= cfg.u_channels):
+        # builtin min/max over a list: numpy's reductions cost more on a dozen values
+        values = arr.tolist()
+        if values and (min(values) < 0 or max(values) >= cfg.u_channels):
             raise ValueError(f"{name} references a non-existent channel")
 
 
@@ -256,7 +232,15 @@ def to_flight_plan(sol: Solution, cfg: ScenarioConfig) -> energy_mod.FlightPlan:
 # for the intermediate terms.  A larger batch runs in chunks of whole
 # blocks: beyond a few hundred columns batching saves no more call
 # overhead, and an unbounded block raised peak memory by ~18 % at scale 2.
+# Stage two's rate batches (:func:`schedule_rates`) keep to the same bound
+# in B placements x N UAVs x M pairs.
 STAGE_ONE_GAINS = 4096
+
+
+def block_key(sol: Solution) -> tuple[int, ...]:
+    """Identity of a solution's five continuous arrays, equal for solutions
+    that share them (see :meth:`Solution.with_discrete`) while they live."""
+    return (id(sol.x), id(sol.y), id(sol.z), id(sol.p), id(sol.v))
 
 
 @dataclass(eq=False)
@@ -285,9 +269,9 @@ def geometries(sols: list[Solution], cfg: ScenarioConfig) -> Iterator[tuple[int,
     """
     rc = cfg.radio_constants
     ep = cfg.energy
-    blocks: dict[tuple[int, ...], list[int]] = {}  # continuous arrays -> solution indices
+    blocks: dict[tuple[int, ...], list[int]] = {}  # block_key -> solution indices
     for i, sol in enumerate(sols):
-        blocks.setdefault((id(sol.x), id(sol.y), id(sol.z), id(sol.p), id(sol.v)), []).append(i)
+        blocks.setdefault(block_key(sol), []).append(i)
     members = list(blocks.values())
     widths = [max(sols[i].n_active for i in block) for block in members]
 
@@ -319,14 +303,40 @@ def geometries(sols: list[Solution], cfg: ScenarioConfig) -> Iterator[tuple[int,
         start = stop
 
 
+def schedule_rates(sols: list[Solution], geoms: list[Geometry], cfg: ScenarioConfig) -> np.ndarray:
+    """Link rates (B, M) of solutions with one UAV count, from their
+    geometries, in one :func:`radio.link_rates` call: the radio step of
+    stage two.  Row b is what the lone solution ``sols[b]`` gets, bit for bit.
+    """
+    n = sols[0].n_active
+    gains = [geometry.gains for geometry in geoms]
+    batch = radio_mod.Placement(
+        uav_xyz=np.array([geometry.plan.dest_xyz for geometry in geoms]),
+        uav_tx_w=np.array([sol.p for sol in sols])[:, :n],
+        assignment=np.array([sol.assign for sol in sols]),
+        uav_channel=np.array([sol.uav_chan for sol in sols])[:, :n],
+        direct_channel=np.array([sol.direct_chan for sol in sols]),
+        gains=radio_mod.UavGains(
+            np.array([g.phu for g in gains]),
+            np.array([g.txhd for g in gains]),
+            np.array([g.pphk for g in gains]),
+        ),
+    )
+    return radio_mod.link_rates(batch, cfg)
+
+
 def evaluate(
-    sol: Solution, cfg: ScenarioConfig, geometry: Optional[Geometry] = None
+    sol: Solution,
+    cfg: ScenarioConfig,
+    geometry: Optional[Geometry] = None,
+    rates: Optional[np.ndarray] = None,
 ) -> ObjectiveVector:
     """Objective vector of a repaired solution; padding never contributes.
 
     Stage two of evaluation: scores the discrete schedule from
-    ``geometry``, the solution's entry in :func:`geometries`; without it,
-    stage one runs on ``[sol]`` first.
+    ``geometry``, the solution's entry in :func:`geometries`, and
+    ``rates``, its row of :func:`schedule_rates`.  Without a geometry,
+    stage one runs on ``[sol]`` first; without rates, the rate step does.
 
     The time-spread constraint is penalized, not repaired: an infeasible
     deployment gets all three components shifted by the fixed penalties,
@@ -341,15 +351,9 @@ def evaluate(
     plan = geometry.plan
     if plan.n_uavs != n:
         raise ValueError(f"geometry covers {plan.n_uavs} UAV slots, solution has {n}")
-    placement = radio_mod.Placement(
-        uav_xyz=plan.dest_xyz,
-        uav_tx_w=sol.p[:n],
-        assignment=sol.assign,
-        uav_channel=sol.uav_chan[:n],
-        direct_channel=sol.direct_chan,
-        gains=geometry.gains,
-    )
-    neg_f1 = -radio_mod.network_capacity(placement, cfg)
+    if rates is None:
+        (rates,) = schedule_rates([sol], [geometry], cfg)
+    neg_f1 = -float(rates.sum())
     f2 = float(n)
     f3 = energy_mod.average_flight_energy(plan, cfg.energy)
     spread = energy_mod.flight_time_spread(plan)

@@ -6,7 +6,12 @@ is the UAV index serving relayed pair ``m``, ``uav_channel[n]`` and
 
 The per-link scalar operations spell out each formula term by term and are
 the reference surface; :func:`link_rates` is a vectorized equivalent used
-on the hot path (solver objective evaluation).
+on the hot path (solver objective evaluation).  It rates a batch of B
+placements with one UAV count N in one call, as arrays with a leading
+batch axis; a lone placement is a batch of one.  Each batch slice adds in
+the order a lone placement's arrays do, so a placement's rates do not
+depend on its batch.  A batch holds a few (B, N, M) arrays, so callers
+bound B x N x M (``encoding.STAGE_ONE_GAINS``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ class UavGains:
 
     Columns (rows of ``txhd``) follow the UAVs.  :meth:`slots` cuts the
     products of some of the UAVs as views, so one batch serves many
-    placements.
+    placements.  In a batch of placements each array carries a leading
+    batch axis.
     """
 
     phu: np.ndarray  # (M, N) relayed-SWD power x SWD -> UAV gain
@@ -50,7 +56,8 @@ class Placement:
     ``gains`` holds the placement's :class:`UavGains` when they were
     computed beforehand (in a batch, see :func:`skyrelay.encoding.geometries`)
     and must then match ``uav_xyz`` and ``uav_tx_w``; left None,
-    :func:`link_rates` computes them.
+    :func:`link_rates` computes them.  A batch of B placements with one UAV
+    count has the same fields with a leading axis of B, and its gains.
     """
 
     uav_xyz: np.ndarray  # (N, 3) m
@@ -62,11 +69,7 @@ class Placement:
 
     @property
     def n_uavs(self) -> int:
-        return len(self.uav_xyz)
-
-    def served_counts(self) -> np.ndarray:
-        """Number of relayed pairs served by each UAV."""
-        return np.bincount(self.assignment, minlength=self.n_uavs)
+        return self.uav_channel.shape[-1]
 
 
 def path_loss_a2g(wd_xyz, uav_xyz, ch: ChannelParams) -> float:
@@ -99,18 +102,20 @@ def gain_g2g(xy1, xy2, ch: ChannelParams) -> float:
 
 
 def _check_indices(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
-    """Validate the index arrays; returns :meth:`Placement.served_counts`."""
-    if len(pl.assignment) != cfg.m_pairs:
+    """Validate the index arrays of a placement or a batch; returns the
+    number of relayed pairs each UAV serves, (N,) or (B, N)."""
+    assign = pl.assignment
+    if assign.shape[-1] != cfg.m_pairs:
         raise RadioError("assignment length != number of relayed pairs")
-    if len(pl.direct_channel) != cfg.k_pairs:
+    if pl.direct_channel.shape[-1] != cfg.k_pairs:
         raise RadioError("direct_channel length != number of direct pairs")
-    try:
-        mu = pl.served_counts()
-    except ValueError:  # a negative index
-        raise RadioError("assignment references a non-existent UAV") from None
-    if len(mu) > pl.n_uavs:
+    n = pl.n_uavs
+    if assign.size and (assign.min() < 0 or assign.max() >= n):
         raise RadioError("assignment references a non-existent UAV")
-    return mu
+    rows = assign.reshape(-1, cfg.m_pairs)
+    offsets = n * np.arange(len(rows))[:, None]
+    mu = np.bincount((rows + offsets).ravel(), minlength=len(rows) * n)
+    return mu.reshape(assign.shape[:-1] + (n,))
 
 
 def _swd3(pair) -> tuple[float, float, float]:
@@ -279,6 +284,15 @@ class RadioConstants:
         self.four_pi_fc = 4.0 * np.pi * ch.carrier_hz
         self.eta_gap = ch.eta_los - ch.eta_nlos
         self.ch = ch
+        self._eye: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def eye(self, n_uavs: int) -> tuple[np.ndarray, np.ndarray]:
+        """Identity of ``n_uavs`` UAVs, whose rows one-hot encode an
+        assignment, and its off-diagonal mask; built once per count."""
+        if n_uavs not in self._eye:
+            eye = np.eye(n_uavs)
+            self._eye[n_uavs] = (eye, eye == 0.0)
+        return self._eye[n_uavs]
 
     def a2g_gains(self, uav_xyz: np.ndarray) -> np.ndarray:
         """Gains from every ground point to UAVs (N, 3); result (2M + K, N)."""
@@ -306,57 +320,68 @@ class RadioConstants:
 def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
     """Expected rate of every relayed pair through its assigned UAV (bps).
 
-    Vectorized equivalent of ``link_rate(m, assignment[m])`` for all m.
+    Vectorized equivalent of ``link_rate(m, assignment[m])`` for all m:
+    (M,) rates for a lone placement, (B, M) for a batch.
     """
-    mu = _check_indices(pl, cfg)
     rc = cfg.radio_constants
-    g = pl.gains if pl.gains is not None else rc.uav_gains(pl.uav_xyz, pl.uav_tx_w)
+    lone = pl.assignment.ndim == 1
+    if lone:  # a batch of one, as views
+        g = pl.gains if pl.gains is not None else rc.uav_gains(pl.uav_xyz, pl.uav_tx_w)
+        fields = (pl.uav_xyz, pl.uav_tx_w, pl.assignment, pl.uav_channel, pl.direct_channel)
+        pl = Placement(*(a[None] for a in fields), UavGains(g.phu[None], g.txhd[None], g.pphk[None]))
+    mu = _check_indices(pl, cfg)  # (B, N)
+    g = pl.gains
     sigma2 = rc.noise_w
     pairs = rc.pairs
-    n_uavs = pl.n_uavs
+    rows = np.arange(len(mu))[:, None]
     assign = pl.assignment
     uav_channel = pl.uav_channel
-    tx_col = (mu > 0)[:, None]
-    mu_col = np.maximum(mu, 1)[:, None]
+    tx_col = (mu > 0)[:, :, None]
+    mu_col = np.maximum(mu, 1)[:, :, None]
+    eye, off_diagonal = rc.eye(pl.n_uavs)
 
-    m = cfg.m_pairs
-    one_hot = np.zeros((m, n_uavs))
-    one_hot[pairs, assign] = 1.0
-
-    same_ch_uav = uav_channel[:, None] == uav_channel[None, :]
+    # Each batch slice repeats the arithmetic of a lone placement in the
+    # same order.  Each matmul slice gets the operand layouts BLAS gets for
+    # a lone placement: the one-hot transposed (F-ordered), the gains
+    # C-ordered.  The uplink and direct-leg sums run over a non-innermost
+    # axis, the downlink sum along a contiguous one.
+    one_hot_t = eye[assign].transpose(0, 2, 1)  # (B, N, M)
+    pair_channel = uav_channel[rows, assign]  # (B, M)
 
     # Expected uplink interference is a property of the receiving UAV; the
     # direct legs see each UAV group's SWDs over the ground.  Rows of idle
-    # UAVs are zero here, and up_mask and dn_mask drop them.  A batch slice
-    # of phu is copied to the fresh C-ordered operand the matmul gets from
-    # uav_gains, so BLAS sums in the same order either way.
-    group_up = one_hot.T @ np.ascontiguousarray(g.phu) / mu_col  # (N_tx_group, N_rx)
-    group_g = one_hot.T @ rc.p_grr / mu_col  # (N, M)
-    up_mask = same_ch_uav & ~np.eye(n_uavs, dtype=bool) & tx_col
-    i_up_uav = (group_up * up_mask).sum(axis=0)  # (N,)
+    # UAVs are zero here, and up_mask and dn_mask drop them.
+    group_up = one_hot_t @ np.ascontiguousarray(g.phu) / mu_col  # (B, N_tx_group, N_rx)
+    group_g = one_hot_t @ rc.p_grr / mu_col  # (B, N, M)
+    up_mask = (uav_channel[:, :, None] == uav_channel[:, None, :]) & off_diagonal & tx_col
+    i_up_uav = (group_up * up_mask).sum(axis=1)  # (B, N)
 
     if cfg.k_pairs:
-        direct_channel = pl.direct_channel[:, None]
-        dir_on_uav = direct_channel == uav_channel[None, :]  # (K, N)
-        i_up_uav = i_up_uav + (g.pphk * dir_on_uav).sum(axis=0)
-        dir_on_pair = direct_channel == uav_channel[assign][None, :]  # (K, M)
-        i_dir_ground = (rc.pp_gkr * dir_on_pair).sum(axis=0)  # (M,)
+        direct_channel = pl.direct_channel[:, :, None]
+        dir_on_uav = direct_channel == uav_channel[:, None, :]  # (B, K, N)
+        i_up_uav = i_up_uav + (g.pphk * dir_on_uav).sum(axis=1)
+        dir_on_pair = direct_channel == pair_channel[:, None, :]  # (B, K, M)
+        i_dir_ground = (rc.pp_gkr * dir_on_pair).sum(axis=1)  # (B, M)
     else:
-        i_dir_ground = np.zeros(m)
+        i_dir_ground = np.zeros(assign.shape)
 
-    gamma_up = g.phu[pairs, assign] / (sigma2 + i_up_uav[assign])
+    gamma_up = g.phu[rows, pairs, assign] / (sigma2 + i_up_uav[rows, assign])
 
     # Downlink interference at each DWD from co-channel transmitting UAVs.
-    dn_mask = same_ch_uav[:, assign] & tx_col  # (N, M)
-    dn_mask[assign, pairs] = False
-    i_dn = (g.txhd * dn_mask).sum(axis=0) + i_dir_ground
-    gamma_dn = g.txhd[assign, pairs] / (sigma2 + i_dn)
+    # The mask is pair-major (B, M, N), so the product is too and its sum
+    # over UAVs runs along the contiguous axis, as with the F-ordered txhd
+    # of a lone placement.
+    dn_mask = (pair_channel[:, :, None] == uav_channel[:, None, :]) & (mu > 0)[:, None, :]
+    dn_mask[rows, pairs, assign] = False  # (B, M, N)
+    i_dn = (g.txhd.transpose(0, 2, 1) * dn_mask).sum(axis=2) + i_dir_ground
+    gamma_dn = g.txhd[rows, assign, pairs] / (sigma2 + i_dn)
 
-    i_leg = (group_g * dn_mask).sum(axis=0) + i_dir_ground
+    i_leg = (group_g * dn_mask.transpose(0, 2, 1)).sum(axis=1) + i_dir_ground
     gamma_direct = rc.p_grr_own / (sigma2 + i_leg)
 
     combined = 1.0 + gamma_direct + gamma_up * gamma_dn / (1.0 + gamma_up + gamma_dn)
-    return cfg.channel.bandwidth_hz / (2.0 * mu[assign]) * np.log2(combined)
+    rates = cfg.channel.bandwidth_hz / (2.0 * mu[rows, assign]) * np.log2(combined)
+    return rates[0] if lone else rates
 
 
 def network_capacity(pl: Placement, cfg: ScenarioConfig) -> float:

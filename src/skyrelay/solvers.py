@@ -99,13 +99,53 @@ def uav_number_adjust(n: int, cfg: ScenarioConfig, p_in: float, rng: np.random.G
 
 
 def _evaluate(sols: list[Solution], cfg: ScenarioConfig) -> list[Individual]:
-    """Two-stage evaluation: batched geometry passes over ``sols``, each
-    solution's schedule scored as its geometry arrives (through the module
-    attribute), results in the order of ``sols``."""
+    """Two-stage evaluation, results in the order of ``sols``.
+
+    Stage one runs in batched geometry passes over ``sols``.  As geometries
+    arrive they are grouped by UAV count; a group is rated in one
+    :func:`encoding.schedule_rates` call once one more solution would take
+    it past ``encoding.STAGE_ONE_GAINS`` rate-step elements (B x N x M),
+    and the rest at the end.  Each solution is then scored from its rate
+    row by ``encoding.evaluate``, looked up as a module attribute.
+    """
     scored: list[Individual] = [None] * len(sols)  # type: ignore[list-item]
+    groups: dict[int, list[tuple[int, encoding.Geometry]]] = {}
+
+    def score(group: list[tuple[int, encoding.Geometry]]) -> None:
+        members = [sols[i] for i, _ in group]
+        rates = encoding.schedule_rates(members, [geometry for _, geometry in group], cfg)
+        for (i, geometry), sol, row in zip(group, members, rates):
+            scored[i] = Individual(genome=sol, objectives=encoding.evaluate(sol, cfg, geometry, row))
+
     for i, geometry in encoding.geometries(sols, cfg):
-        scored[i] = Individual(genome=sols[i], objectives=encoding.evaluate(sols[i], cfg, geometry))
+        n = sols[i].n_active
+        group = groups.setdefault(n, [])
+        group.append((i, geometry))
+        if (len(group) + 1) * n * cfg.m_pairs > encoding.STAGE_ONE_GAINS:
+            score(groups.pop(n))
+    for group in groups.values():
+        score(group)
     return scored
+
+
+def _repaired(sols: list[Solution], cfg: ScenarioConfig, rng: np.random.Generator) -> list[Solution]:
+    """``encoding.repair_continuous`` over ``sols``, in order.
+
+    A solution sharing its continuous arrays with an earlier one found in
+    bounds (a Q' sibling) is in bounds too and skips the check; an
+    out-of-bounds block is repaired for each solution, with its own draws.
+    """
+    in_bounds: set[tuple[int, ...]] = set()
+    out = []
+    for sol in sols:
+        key = encoding.block_key(sol)
+        if key not in in_bounds:
+            fixed = encoding.repair_continuous(sol, cfg, rng)
+            if fixed is sol:
+                in_bounds.add(key)
+            sol = fixed
+        out.append(sol)
+    return out
 
 
 def _init_population(cfg: ScenarioConfig, rc: RunConfig, rng: np.random.Generator) -> list[Individual]:
@@ -189,7 +229,7 @@ def _moea(
     population = _init_population(cfg, rc, rng)
     for _ in range(rc.max_iters):
         children = discrete(population, _continuous_offspring(population, cfg, rc, rng), rng)
-        offspring = _evaluate([encoding.repair_continuous(sol, cfg, rng) for sol in children], cfg)
+        offspring = _evaluate(_repaired(children, cfg, rng), cfg)
         population = select(population + offspring, rng)
     return SolverResult(final_front=_first_front(population), seed=rc.seed)
 
@@ -283,7 +323,7 @@ def weighted_sum_ga(
             a, b = population[int(rng.integers(rc.pop))], population[int(rng.integers(rc.pop))]
             parents.append(a if scalar(a) <= scalar(b) else b)
         q_set = _mutate_discrete_plain(_continuous_offspring(parents, cfg, rc, rng), cfg, pm, rng)
-        population = _evaluate([encoding.repair_continuous(sol, cfg, rng) for sol in q_set], cfg)
+        population = _evaluate(_repaired(q_set, cfg, rng), cfg)
         gen_best = min(population, key=scalar)
         if scalar(gen_best) < scalar(best):
             best = gen_best

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skyrelay import encoding, energy, radio
+from skyrelay import encoding, energy, radio, solvers
 from skyrelay.encoding import (
     PENALTY_F2,
     PENALTY_F3,
@@ -13,7 +15,6 @@ from skyrelay.encoding import (
     continuous_bounds,
     evaluate,
     geometries,
-    pad_solution,
     random_discrete,
     random_solution,
     repair_continuous,
@@ -67,7 +68,7 @@ def test_continuous_vector_roundtrip(scale_one):
     sol = random_solution(scale_one, rng)
     vec = sol.continuous_vector()
     other = random_solution(scale_one, rng)
-    other.set_continuous_vector(vec)
+    other = Solution.from_parts(vec, other.n_active, other.assign, other.uav_chan, other.direct_chan)
     assert np.array_equal(other.continuous_vector(), vec)
 
 
@@ -88,6 +89,33 @@ def test_check_discrete_rejects(scale_one):
         encoding.check_discrete(bad, scale_one)
 
 
+@pytest.mark.parametrize(
+    ("field", "bad_value", "message"),
+    [
+        ("n_active", 9, "n_active=9 outside [4, 8]"),
+        ("n_active", 3, "n_active=3 outside [4, 8]"),
+        ("assign", np.zeros(9, dtype=int), "assignment length != number of relayed pairs"),
+        ("uav_chan", (0, -1), "uav_chan references a non-existent channel"),
+        ("uav_chan", (7, 3), "uav_chan references a non-existent channel"),  # a padding slot
+        ("direct_chan", (2, 3), "direct_chan references a non-existent channel"),
+        ("direct_chan", (0, -2), "direct_chan references a non-existent channel"),
+    ],
+)
+def test_domain_error_messages(field, bad_value, message, scale_one):
+    # scale one: 4..8 UAVs, 10 relayed pairs, 3 direct pairs, 3 channels
+    sol = random_solution(scale_one, np.random.default_rng(14))
+    sol.n_active = scale_one.n_max
+    if isinstance(bad_value, tuple):
+        index, value = bad_value
+        getattr(sol, field)[index] = value
+    else:
+        setattr(sol, field, bad_value)
+    for check in (encoding.check_discrete, evaluate):
+        with pytest.raises(ValueError) as err:
+            check(sol, scale_one)
+        assert str(err.value) == message
+
+
 def test_repair_continuous(scale_one):
     rng = np.random.default_rng(4)
     sol = random_solution(scale_one, rng)
@@ -101,24 +129,6 @@ def test_repair_continuous(scale_one):
     # untouched genes are preserved exactly
     assert fixed.y[0] == sol.y[0]
     assert fixed.v[3] == sol.v[3]
-
-
-def test_pad_solution(scale_one):
-    rng = np.random.default_rng(5)
-    full = random_solution(scale_one, rng)
-    short = full.copy()
-    keep = 5
-    for name in ("x", "y", "z", "p", "v", "uav_chan"):
-        setattr(short, name, getattr(short, name)[:keep])
-    short.n_active = 4
-    padded = pad_solution(short, scale_one, rng)
-    assert len(padded.x) == scale_one.n_max
-    assert np.array_equal(padded.x[:keep], short.x)
-    assert np.all(padded.z[keep:] >= 200.0) and np.all(padded.z[keep:] <= 500.0)
-    assert np.all(padded.uav_chan < scale_one.u_channels)
-    # already-full solutions pass through unchanged
-    again = pad_solution(full, scale_one, rng)
-    assert np.array_equal(again.continuous_vector(), full.continuous_vector())
 
 
 def test_evaluate_components(scale_one):
@@ -271,6 +281,81 @@ def test_stage_one_batch_matches_lone_evaluation(scale, scale_one, scale_two):
         assert np.shares_memory(g_q.plan.dest_xyz, g_qp.plan.dest_xyz)
     for i, sol in enumerate(batch):
         assert evaluate(sol, cfg, geoms[i]) == evaluate(sol, cfg)
+
+
+# SHA-256 of the link-rate doubles of fixed random deployments of
+# gen_scenario(scale, 1), each rated from its stage-one gains and from
+# gains of its own.  It pins the order of every sum in radio.link_rates,
+# which the short golden-front runs can miss; computed with numpy 2.4 on
+# x86-64, with the caveat of GOLDEN_FRONTS in test_solvers.py.
+GOLDEN_RATES = {
+    "one": "836fdd6bff8d331f24880e9e4e18413bdd91458bd318af712c604264464ba216",
+    "two": "3a8281c9b0db04409f9219794a753cd7091fb5eb48b2fa957e465671925d2505",
+}
+
+
+@pytest.mark.parametrize("scale", ["one", "two"])
+def test_link_rate_bits_unchanged(scale, scale_one, scale_two):
+    cfg = scale_one if scale == "one" else scale_two
+    rng = np.random.default_rng(17)
+    digest = hashlib.sha256()
+    for _ in range(20 if scale == "one" else 5):
+        sols = [random_solution(cfg, rng) for _ in range(12)]
+        for i, geometry in geometries(sols, cfg):
+            own = encoding.to_placement(sols[i], cfg)
+            staged = radio.Placement(
+                own.uav_xyz, own.uav_tx_w, own.assignment, own.uav_channel,
+                own.direct_channel, geometry.gains,
+            )
+            for pl in (staged, own):
+                digest.update(radio.link_rates(pl, cfg).tobytes())
+    assert digest.hexdigest() == GOLDEN_RATES[scale]
+
+
+@pytest.mark.parametrize("scale", ["one", "two"])
+def test_rate_batches_match_lone_rates_bytewise(scale, scale_one, scale_two):
+    # one batch per UAV count, every member's row against its lone rates
+    cfg = scale_one if scale == "one" else scale_two
+    batch, _ = _mixed_batch(cfg, np.random.default_rng(15))
+    geoms = dict(geometries(batch, cfg))
+    by_count = {}
+    for i, sol in enumerate(batch):
+        by_count.setdefault(sol.n_active, []).append(i)
+    assert len(by_count) == cfg.n_max - cfg.n_min + 1
+    for members in by_count.values():
+        rates = encoding.schedule_rates([batch[i] for i in members], [geoms[i] for i in members], cfg)
+        assert rates.shape == (len(members), cfg.m_pairs)
+        for i, row in zip(members, rates):
+            lone = radio.link_rates(encoding.to_placement(batch[i], cfg), cfg)
+            assert row.tobytes() == lone.tobytes()
+            assert row.tobytes() == encoding.schedule_rates([batch[i]], [geoms[i]], cfg)[0].tobytes()
+            assert evaluate(batch[i], cfg, geoms[i], row) == evaluate(batch[i], cfg)
+
+
+def test_scale_two_rate_groups_split_at_the_budget(scale_two, monkeypatch):
+    cfg = scale_two
+    rng = np.random.default_rng(16)
+    n = cfg.n_min
+    per_batch = encoding.STAGE_ONE_GAINS // (n * cfg.m_pairs)
+    sols = [random_solution(cfg, rng) for _ in range(2 * per_batch + 1)]
+    for sol in sols:
+        sol.n_active = n
+        sol.assign %= n
+    sols += [random_solution(cfg, rng) for _ in range(6)]
+    batches = []
+    original = radio.link_rates
+
+    def recording(pl, cfg):
+        batches.append(pl.assignment.shape[0] * pl.n_uavs * cfg.m_pairs)
+        return original(pl, cfg)
+
+    monkeypatch.setattr(radio, "link_rates", recording)
+    scored = solvers._evaluate(sols, cfg)
+    monkeypatch.undo()
+    assert max(batches) <= encoding.STAGE_ONE_GAINS
+    assert batches.count(per_batch * n * cfg.m_pairs) >= 2  # the big group split
+    for ind, sol in zip(scored, sols):
+        assert ind.genome is sol and ind.objectives == evaluate(sol, cfg)
 
 
 def test_evaluate_rejects_mismatched_geometry(scale_one):

@@ -258,6 +258,42 @@ def test_vectorized_matches_scalar():
         np.testing.assert_allclose(vec, scal, rtol=1e-12, atol=0)
 
 
+def _batch(placements, cfg):
+    """Stack lone placements of one UAV count into a batch with its gains."""
+    rc = cfg.radio_constants
+    gains = [rc.uav_gains(pl.uav_xyz, pl.uav_tx_w) for pl in placements]
+
+    def stacked(parts, field):
+        return np.array([getattr(part, field) for part in parts])
+
+    fields = ("uav_xyz", "uav_tx_w", "assignment", "uav_channel", "direct_channel")
+    return radio.Placement(
+        *(stacked(placements, f) for f in fields),
+        gains=radio.UavGains(*(stacked(gains, f) for f in ("phu", "txhd", "pphk"))),
+    )
+
+
+@pytest.mark.parametrize(("k", "n"), [(0, 1), (0, 4), (3, 1), (2, 5)])
+def test_batched_rows_match_lone_calls_bytewise(k, n):
+    rng = np.random.default_rng(20 + 10 * k + n)
+    cfg = make_config(rng, m=7, k=k, n_min=n, n_max=n, u=2)
+    placements = [make_placement(rng, cfg, n=n) for _ in range(6)]
+    rates = radio.link_rates(_batch(placements, cfg), cfg)
+    assert rates.shape == (6, cfg.m_pairs)
+    for pl, row in zip(placements, rates):
+        assert row.tobytes() == radio.link_rates(pl, cfg).tobytes()
+
+
+@pytest.mark.parametrize("bad_slot", [-1, 3])
+def test_bad_assignment_inside_a_batch_raises(bad_slot):
+    rng = np.random.default_rng(30)
+    cfg = make_config(rng, m=5, k=2, n_min=3, n_max=3)
+    placements = [make_placement(rng, cfg, n=3) for _ in range(5)]
+    placements[2].assignment[4] = bad_slot
+    with pytest.raises(radio.RadioError, match="non-existent UAV"):
+        radio.link_rates(_batch(placements, cfg), cfg)
+
+
 def test_all_quantities_finite_nonnegative():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -106,6 +106,56 @@ def test_uav_number_adjust():
     assert uav_number_adjust(3, fixed, 0.5, rng) == 3
 
 
+def _siblings(cfg, rng):
+    """A solution and a Q' sibling sharing its continuous arrays."""
+    q = encoding.random_solution(cfg, rng)
+    return q, q.with_discrete(*encoding.random_discrete(cfg, rng))
+
+
+def _counting_repair(monkeypatch):
+    calls = []
+    original = encoding.repair_continuous
+
+    def counting(sol, cfg, rng):
+        calls.append(sol)
+        return original(sol, cfg, rng)
+
+    monkeypatch.setattr(encoding, "repair_continuous", counting)
+    return calls
+
+
+def test_repair_checks_an_in_bounds_block_once(monkeypatch):
+    cfg = small_cfg()
+    rng = np.random.default_rng(7)
+    q, qp = _siblings(cfg, rng)
+    other = encoding.random_solution(cfg, rng)
+    calls = _counting_repair(monkeypatch)
+    state = rng.bit_generator.state
+    out = solvers._repaired([q, other, qp], cfg, rng)
+    assert all(a is b for a, b in zip(out, [q, other, qp]))
+    assert calls == [q, other]  # the sibling reuses q's verdict
+    assert rng.bit_generator.state == state
+
+
+def test_repair_fixes_out_of_bounds_siblings_one_by_one(monkeypatch):
+    cfg = small_cfg()
+    rng = np.random.default_rng(8)
+    q, qp = _siblings(cfg, rng)
+    q.x[0] = -50.0  # shared with qp
+    q.v[1] = np.nan
+    twin = np.random.default_rng(9)
+    expected = [encoding.repair_continuous(sol, cfg, twin) for sol in (q, qp)]
+    calls = _counting_repair(monkeypatch)
+    out = solvers._repaired([q, qp], cfg, np.random.default_rng(9))
+    assert calls == [q, qp]
+    assert out[0] is not q and out[1] is not qp and out[0].x is not out[1].x
+    for got, want, sol in zip(out, expected, (q, qp)):
+        assert np.array_equal(got.continuous_vector(), want.continuous_vector())
+        assert got.n_active == sol.n_active and np.array_equal(got.assign, sol.assign)
+    # each sibling drew its own replacement genes
+    assert out[0].x[0] != out[1].x[0]
+
+
 def _check_front(front, cfg):
     assert front
     for ind in front:
