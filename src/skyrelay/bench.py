@@ -25,7 +25,16 @@ from .moea import Individual
 from .scenario import ScenarioConfig
 from .solvers import STRATEGIES, RunConfig
 
-ALGORITHMS = ("nsga3fdu", "nsga3", "nsga2", "wsga", "ud", "rd")
+# The final front of one trial of each algorithm; solvers are looked up at call time.
+_SOLVERS = {
+    "nsga3fdu": lambda cfg, rc: solvers.nsga3fdu(cfg, rc).final_front,
+    "nsga3": lambda cfg, rc: solvers.nsga3_plain(cfg, rc).final_front,
+    "nsga2": lambda cfg, rc: solvers.nsga2(cfg, rc).final_front,
+    "wsga": lambda cfg, rc: solvers.weighted_sum_ga(cfg, rc).final_front,
+    "ud": lambda cfg, rc: [solvers.ud_baseline(cfg, np.random.default_rng(rc.seed))],
+    "rd": lambda cfg, rc: [solvers.rd_baseline(cfg, np.random.default_rng(rc.seed))],
+}
+ALGORITHMS = tuple(_SOLVERS)
 
 
 @dataclass
@@ -64,21 +73,10 @@ def _threads() -> int:
 
 def _run_one(args) -> TrialReport:
     cfg, rc, algo = args
-    t0 = time.perf_counter()
-    if algo == "nsga3fdu":
-        front = solvers.nsga3fdu(cfg, rc).final_front
-    elif algo == "nsga3":
-        front = solvers.nsga3_plain(cfg, rc).final_front
-    elif algo == "nsga2":
-        front = solvers.nsga2(cfg, rc).final_front
-    elif algo == "wsga":
-        front = solvers.weighted_sum_ga(cfg, rc).final_front
-    elif algo == "ud":
-        front = [solvers.ud_baseline(cfg, np.random.default_rng(rc.seed))]
-    elif algo == "rd":
-        front = [solvers.rd_baseline(cfg, np.random.default_rng(rc.seed))]
-    else:
+    if algo not in _SOLVERS:
         raise ValueError(f"unknown algorithm {algo!r}")
+    t0 = time.perf_counter()
+    front = _SOLVERS[algo](cfg, rc)
     picks = {}
     for strategy in STRATEGIES:
         chosen = solvers.pick_strategy(front, strategy)

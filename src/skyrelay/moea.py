@@ -247,80 +247,169 @@ def crowding_select(merged: list[Individual], target: int) -> list[Individual]:
     return chosen
 
 
-def sbx(
-    p1: np.ndarray,
-    p2: np.ndarray,
+def variation(
+    P1: np.ndarray,
+    P2: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     eta_c: float,
     pc: float,
+    eta_m: float,
+    pm: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover with per-gene bounds; children are clipped."""
-    if rng.random() >= pc:
-        return p1.copy(), p2.copy()
-    # Per-gene loop on Python floats: the same IEEE results as numpy scalars
-    # at a fraction of the call overhead; rng draws stay in the same order.
-    x1s, x2s, lows, highs = p1.tolist(), p2.tolist(), lower.tolist(), upper.tolist()
-    c1, c2 = list(x1s), list(x2s)
+    """SBX, then polynomial mutation of both children, for each parent pair.
+
+    Row h of the (H, D) arrays ``P1`` and ``P2`` is a pair; row h of each
+    result is its child.  ``rng`` is read in the order of a per-gene loop
+    over the pairs.  A pair reads one gate and crosses if it is below ``pc``.
+    A crossing pair reads a gate per gene; a gene crosses if its gate is
+    below 0.5 and its parents differ by at least 1e-14, and then reads a
+    spread and a swap uniform.  Then each child reads a gate per gene; a
+    gene mutates if its gate is below ``pm`` and its span is nonzero, and
+    then reads a spread uniform.
+
+    A scan over the gates finds the uniform each crossing or mutated gene
+    reads; :func:`sbx` and :func:`poly_mutation` then run once each over
+    all of them.  The uniforms come in ``rng.random`` blocks no longer than
+    the reads still certain to come, so none is drawn that the loop would
+    not read, and ``rng`` ends in the loop's state, a pending 32-bit half
+    included.
+    """
+    H, D = P1.shape
+    crossable = (~(np.abs(P1 - P2) < 1e-14)).tolist()  # a NaN gene crosses
+    movable = (~(upper - lower <= 0.0)).tolist()
+    # The uniforms, and per uniform a byte that is 1 where it is below a gene
+    # gate's threshold; sized for the most the loop can read, with every
+    # gene crossing and mutating.
+    most = H * (1 + 7 * D)
+    stream = np.empty(most)
+    below_half, below_pm = bytearray(most), bytearray(most)
+    flags = [(np.frombuffer(b, dtype=bool), t) for b, t in ((below_half, 0.5), (below_pm, pm))]
+    due = H * (1 + 2 * D)  # reads certain to come, counted from the start
+    drawn = pos = 0
+    crossed: list[int] = []  # h * D + i of each crossing gene
+    mutated: list[int] = []  # (c * H + h) * D + i of each mutated gene of child c
+    cross_at: list[int] = []  # stream position of each one's spread uniform
+    mutate_at: list[int] = []
+
+    def fill() -> None:
+        nonlocal drawn
+        block = rng.random(out=stream[drawn:due])
+        for below, threshold in flags:
+            np.less(block, threshold, out=below[drawn:due])
+        drawn = due
+
+    def gates(
+        below: bytearray, eligible: list[bool], extra: int, base: int, hits: list[int], at: list[int]
+    ) -> None:
+        """Read D gates; an eligible gene whose gate is below reads ``extra`` more."""
+        nonlocal pos, due
+        i = 0
+        while i < D:
+            end = pos + D - i
+            if end > drawn:
+                fill()
+            k = below.find(1, pos, end)
+            if k < 0:
+                pos = end
+                return
+            i += k - pos
+            pos = k + 1
+            if eligible[i]:
+                due += extra
+                if pos + extra > drawn:
+                    fill()
+                hits.append(base + i)
+                at.append(pos)
+                pos += extra
+            i += 1
+
+    for h in range(H):
+        if pos == drawn:
+            fill()
+        pos += 1
+        if stream[pos - 1] < pc:
+            due += D
+            gates(below_half, crossable[h], 2, h * D, crossed, cross_at)
+        gates(below_pm, movable, 1, h * D, mutated, mutate_at)
+        gates(below_pm, movable, 1, (H + h) * D, mutated, mutate_at)
+
+    children = np.stack((P1, P2))
+    pairs = children.reshape(2, H * D)
+    genes = children.reshape(-1)
+    at = np.array(crossed, dtype=np.intp)
+    u = np.array(cross_at, dtype=np.intp)
+    gene = at % D
+    pairs[0, at], pairs[1, at] = sbx(
+        pairs[0, at], pairs[1, at], lower[gene], upper[gene], stream[u], stream[u + 1] < 0.5, eta_c
+    )
+    at = np.array(mutated, dtype=np.intp)
+    gene = at % D
+    genes[at] = poly_mutation(
+        genes[at], lower[gene], upper[gene], stream[np.array(mutate_at, dtype=np.intp)], eta_m
+    )
+    return children[0], children[1]
+
+
+# The two kernels reproduce the per-gene formulas with the same IEEE
+# operations in the same order.  Powers go through np.float_power, which
+# calls the C library's pow as Python's ** does; np.power may take a SIMD
+# path that differs in the last bit.
+
+
+def sbx(
+    x1: np.ndarray,
+    x2: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    u: np.ndarray,
+    swap: np.ndarray,
+    eta_c: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated binary crossover of crossing genes; children are clipped.
+
+    Each argument array runs over the genes: the parents' values, the gene
+    bounds, the spread uniform and whether the children change places.
+    """
+    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
+    gap = hi - lo
     exponent = 1.0 / (eta_c + 1.0)
-    draw = rng.random
-    for i in range(len(x1s)):
-        if draw() >= 0.5:
-            continue
-        x1, x2 = x1s[i], x2s[i]
-        if abs(x1 - x2) < 1e-14:
-            continue
-        lo, hi = min(x1, x2), max(x1, x2)
-        u = draw()
-        beta = 1.0 + 2.0 * (lo - lows[i]) / (hi - lo)
-        alpha = 2.0 - beta ** -(eta_c + 1.0)
-        betaq = (
-            (u * alpha) ** exponent if u <= 1.0 / alpha else (1.0 / (2.0 - u * alpha)) ** exponent
-        )
-        child_lo = 0.5 * ((lo + hi) - betaq * (hi - lo))
-        beta = 1.0 + 2.0 * (highs[i] - hi) / (hi - lo)
-        alpha = 2.0 - beta ** -(eta_c + 1.0)
-        betaq = (
-            (u * alpha) ** exponent if u <= 1.0 / alpha else (1.0 / (2.0 - u * alpha)) ** exponent
-        )
-        child_hi = 0.5 * ((lo + hi) + betaq * (hi - lo))
-        if draw() < 0.5:
-            child_lo, child_hi = child_hi, child_lo
-        c1[i] = min(max(child_lo, lows[i]), highs[i])
-        c2[i] = min(max(child_hi, lows[i]), highs[i])
-    return np.array(c1, dtype=float), np.array(c2, dtype=float)
+
+    def betaq(beta: np.ndarray) -> np.ndarray:
+        alpha = 2.0 - np.float_power(beta, -(eta_c + 1.0))
+        ua = u * alpha
+        inner = u <= 1.0 / alpha
+        # the outer branch's divisor only in its own lanes, so that no
+        # inner-branch lane can divide by zero
+        base = np.where(inner, ua, 1.0 / (2.0 - np.where(inner, 0.0, ua)))
+        return np.float_power(base, exponent)
+
+    child_lo = 0.5 * ((lo + hi) - betaq(1.0 + 2.0 * (lo - lower) / gap) * gap)
+    child_hi = 0.5 * ((lo + hi) + betaq(1.0 + 2.0 * (upper - hi) / gap) * gap)
+    c1 = np.where(swap, child_hi, child_lo)
+    c2 = np.where(swap, child_lo, child_hi)
+    return np.minimum(np.maximum(c1, lower), upper), np.minimum(np.maximum(c2, lower), upper)
 
 
 def poly_mutation(
     x: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
+    u: np.ndarray,
     eta_m: float,
-    pm: float,
-    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Bounded polynomial mutation applied per gene with probability ``pm``."""
-    out = x.copy()
-    mut_pow = 1.0 / (eta_m + 1.0)
-    draw = rng.random
-    for i in range(len(out)):
-        if draw() >= pm:
-            continue
-        # Python floats, as in sbx; most genes are skipped before this point
-        lo, hi = float(lower[i]), float(upper[i])
-        span = hi - lo
-        if span <= 0.0:
-            continue
-        u = draw()
-        gene = float(out[i])
-        delta1 = (gene - lo) / span
-        delta2 = (hi - gene) / span
-        if u < 0.5:
-            val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - delta1) ** (eta_m + 1.0)
-            deltaq = val**mut_pow - 1.0
-        else:
-            val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** (eta_m + 1.0)
-            deltaq = 1.0 - val**mut_pow
-        out[i] = min(max(gene + deltaq * span, lo), hi)
-    return out
+    """Bounded polynomial mutation of mutated genes; results are clipped.
+
+    Each argument array runs over the genes: their values, their bounds
+    (with a nonzero span) and their spread uniforms.
+    """
+    span = upper - lower
+    left = u < 0.5
+    delta = np.where(left, (x - lower) / span, (upper - x) / span)
+    val = np.where(left, 2.0 * u, 2.0 * (1.0 - u)) + np.where(
+        left, 1.0 - 2.0 * u, 2.0 * (u - 0.5)
+    ) * np.float_power(1.0 - delta, eta_m + 1.0)
+    root = np.float_power(val, 1.0 / (eta_m + 1.0))
+    deltaq = np.where(left, root - 1.0, 1.0 - root)
+    return np.minimum(np.maximum(x + deltaq * span, lower), upper)

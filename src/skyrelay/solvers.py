@@ -160,23 +160,28 @@ def _continuous_offspring(
 ) -> list[Solution]:
     """SBX + polynomial mutation on the padded continuous parts.
 
-    Parents are paired by a random permutation; each child keeps the
-    discrete part of the parent it descends from.
+    Parents are paired by a random permutation and bred in one
+    :func:`moea.variation` call.  Each child owns a copy of its row, so a
+    survivor does not keep the generation's offspring array alive, and keeps
+    the discrete part of the parent it descends from.
     """
     lower, upper = cfg.gene_bounds
     pm = rc.mutation_rate(cfg)
     order = rng.permutation(len(parents))
+    first, second = order[0::2], order[1::2]
+    # Each side is stacked on its own: one stack of all parents, indexed
+    # per side, kept about 0.3 MB more resident over a dozen s1-fdu trials.
+    P1, P2 = (
+        np.array([parents[i].genome.continuous_vector() for i in idx.tolist()])
+        for idx in (first, second)
+    )
+    bred = moea.variation(P1, P2, lower, upper, rc.eta_c, rc.pc, rc.eta_m, pm, rng)
     children: list[Solution] = [None] * len(parents)  # type: ignore[list-item]
-    for a, b in zip(order[0::2], order[1::2]):
-        v1 = parents[a].genome.continuous_vector()
-        v2 = parents[b].genome.continuous_vector()
-        c1, c2 = moea.sbx(v1, v2, lower, upper, rc.eta_c, rc.pc, rng)
-        c1 = moea.poly_mutation(c1, lower, upper, rc.eta_m, pm, rng)
-        c2 = moea.poly_mutation(c2, lower, upper, rc.eta_m, pm, rng)
-        for parent_idx, vec in ((a, c1), (b, c2)):
+    for idx, rows in zip((first, second), bred):
+        for parent_idx, vec in zip(idx.tolist(), rows):
             parent = parents[parent_idx].genome
             children[parent_idx] = Solution.from_parts(
-                vec,
+                vec.copy(),
                 parent.n_active,
                 parent.assign.copy(),
                 parent.uav_chan.copy(),

@@ -114,3 +114,9 @@ def test_stats_from_report_doc_matches(reports, bench_cfg, tmp_path):
 
 def test_algorithm_names():
     assert ALGORITHMS == ("nsga3fdu", "nsga3", "nsga2", "wsga", "ud", "rd")
+
+
+def test_run_one_rejects_unknown_algorithm(bench_cfg):
+    # run_trials checks the name first; the worker entry checks it too
+    with pytest.raises(ValueError, match="unknown algorithm 'simulated-annealing'"):
+        bench._run_one((bench_cfg, RC, "simulated-annealing"))

@@ -15,8 +15,7 @@ from skyrelay.moea import (
     dominates,
     fast_non_dominated_sort,
     nsga3_select,
-    poly_mutation,
-    sbx,
+    variation,
 )
 
 obj = st.floats(min_value=-1e7, max_value=1e7, allow_nan=False)
@@ -277,9 +276,9 @@ BOUNDS = (np.zeros(6), np.array([400.0, 400.0, 500.0, 1.0, 16.0, 3.0]))
 def test_sbx_children_within_bounds(seed):
     rng = np.random.default_rng(seed)
     lower, upper = BOUNDS
-    p1 = rng.uniform(lower, upper)
-    p2 = rng.uniform(lower, upper)
-    c1, c2 = sbx(p1, p2, lower, upper, eta_c=20.0, pc=1.0, rng=rng)
+    p1 = rng.uniform(lower, upper, size=(3, 6))
+    p2 = rng.uniform(lower, upper, size=(3, 6))
+    c1, c2 = variation(p1, p2, lower, upper, eta_c=20.0, pc=1.0, eta_m=20.0, pm=0.0, rng=rng)
     for c in (c1, c2):
         assert np.all(c >= lower) and np.all(c <= upper)
 
@@ -289,25 +288,28 @@ def test_sbx_children_within_bounds(seed):
 def test_poly_mutation_within_bounds(seed):
     rng = np.random.default_rng(seed)
     lower, upper = BOUNDS
-    x = rng.uniform(lower, upper)
-    y = poly_mutation(x, lower, upper, eta_m=20.0, pm=1.0, rng=rng)
+    x = rng.uniform(lower, upper, size=(3, 6))
+    y, _ = variation(x, x, lower, upper, eta_c=20.0, pc=0.0, eta_m=20.0, pm=1.0, rng=rng)
     assert np.all(y >= lower) and np.all(y <= upper)
 
 
 def test_sbx_skip_leaves_parents():
     rng = np.random.default_rng(6)
     lower, upper = BOUNDS
-    p1 = rng.uniform(lower, upper)
-    p2 = rng.uniform(lower, upper)
-    c1, c2 = sbx(p1, p2, lower, upper, eta_c=20.0, pc=0.0, rng=rng)
+    p1 = rng.uniform(lower, upper, size=(2, 6))
+    p2 = rng.uniform(lower, upper, size=(2, 6))
+    c1, c2 = variation(p1, p2, lower, upper, eta_c=20.0, pc=0.0, eta_m=20.0, pm=0.0, rng=rng)
     assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
 
 
 def test_poly_mutation_pm_zero_identity():
-    rng = np.random.default_rng(7)
+    # with pm = 0 the children are the crossover's, whatever the gates read
     lower, upper = BOUNDS
-    x = rng.uniform(lower, upper)
-    assert np.array_equal(poly_mutation(x, lower, upper, 20.0, 0.0, rng), x)
+    x, y = _reference_parents(7)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = variation(x[None], y[None], lower, upper, 20.0, 1.0, 20.0, 0.0, rng)
+    want = oracle.sbx(x, y, lower, upper, 20.0, 1.0, ref_rng)
+    assert [c[0].tobytes() for c in got] == [c.tobytes() for c in want]
 
 
 def _reference_parents(seed):
@@ -323,29 +325,75 @@ def _reference_parents(seed):
     return p1, p2
 
 
+# BOUNDS with an extra gene whose bounds are equal: it never mutates
+ZERO_SPAN = (np.append(BOUNDS[0], 5.0), np.append(BOUNDS[1], 5.0))
+
+
+def _reference_pairs(seed, n_pairs, same):
+    """(H, 7) parent rows from ``_reference_parents``, the last gene on its
+    zero span; with ``same`` the second parent equals the first."""
+    rows = [_reference_parents(seed * 10 + h) for h in range(n_pairs)]
+    p1 = np.array([np.append(a, 5.0) for a, _ in rows])
+    p2 = p1.copy() if same else np.array([np.append(b, 5.0) for _, b in rows])
+    return p1, p2
+
+
+def _check_against_per_pair_loop(p1, p2, eta, pc, pm, seed):
+    """``variation`` against the per-gene loop, pair by pair: oracle SBX,
+    then oracle mutation of each child.  Equal bytes and equal generator
+    state; odd seeds first leave a pending 32-bit half in the generator."""
+    lower, upper = ZERO_SPAN
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if seed % 2:
+        rng.integers(5)
+        ref_rng.integers(5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    got = variation(p1, p2, lower, upper, eta, pc, eta, pm, rng)
+    want = ([], [])
+    for x1, x2 in zip(p1, p2):
+        for out, child in zip(want, oracle.sbx(x1, x2, lower, upper, eta, pc, ref_rng)):
+            out.append(oracle.poly_mutation(child, lower, upper, eta, pm, ref_rng))
+    assert [c.tobytes() for c in got] == [np.array(c).tobytes() for c in want]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("pc", [0.0, 0.7, 1.0])
 @pytest.mark.parametrize("eta_c", [2.0, 20.0])
 def test_sbx_matches_per_gene_reference(pc, eta_c):
-    lower, upper = BOUNDS
-    for seed in range(40):
-        p1, p2 = _reference_parents(seed)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sbx(p1, p2, lower, upper, eta_c, pc, rng)
-        want = oracle.sbx(p1, p2, lower, upper, eta_c, pc, ref_rng)
-        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # distinct parents with an identical gene, so most crossing genes read
+    # a spread and a swap uniform
+    for n_pairs in (1, 2, 7):
+        for pm in (0.0, 0.25, 1.0):
+            for seed in range(10):
+                p1, p2 = _reference_pairs(seed, n_pairs, same=False)
+                _check_against_per_pair_loop(p1, p2, eta_c, pc, pm, seed)
 
 
 @pytest.mark.parametrize("pm", [0.0, 0.25, 1.0])
 @pytest.mark.parametrize("eta_m", [2.0, 20.0])
 def test_poly_mutation_matches_per_gene_reference(pm, eta_m):
-    # an extra gene with equal bounds is never moved
-    lower = np.append(BOUNDS[0], 5.0)
-    upper = np.append(BOUNDS[1], 5.0)
-    for seed in range(40):
-        x = np.append(_reference_parents(seed)[0], 5.0)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = poly_mutation(x, lower, upper, eta_m, pm, rng)
-        want = oracle.poly_mutation(x, lower, upper, eta_m, pm, ref_rng)
-        assert got.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # identical parents: crossing pairs read every gene gate, no gene crosses
+    for n_pairs in (1, 2, 7):
+        for pc in (0.0, 0.7, 1.0):
+            for seed in range(10):
+                p1, p2 = _reference_pairs(seed, n_pairs, same=True)
+                _check_against_per_pair_loop(p1, p2, eta_m, pc, pm, seed)
+
+
+@pytest.mark.parametrize("eta", [2.0, 20.0])
+def test_float_power_matches_python_pow(eta):
+    rng = np.random.default_rng(int(eta))
+    n = 100_000
+    cases = (
+        (10.0 ** rng.uniform(0.0, 6.0, n), -(eta + 1.0)),  # SBX: beta ** -(eta + 1)
+        (rng.uniform(0.0, 2.0, n), 1.0 / (eta + 1.0)),  # SBX betaq, mutation root
+        (rng.uniform(0.0, 1.0, n), eta + 1.0),  # mutation: (1 - delta) ** (eta + 1)
+    )
+    for base, exponent in cases:
+        got = np.float_power(base, exponent)
+        want = np.array([b**exponent for b in base.tolist()])
+        assert got.tobytes() == want.tobytes(), (
+            f"np.float_power(x, {exponent}) differs from Python ** in "
+            f"{int((got != want).sum())} of {n} samples; moea.sbx and moea.poly_mutation "
+            "depend on it to match the per-gene reference loops bit for bit"
+        )
