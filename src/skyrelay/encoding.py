@@ -146,9 +146,18 @@ def random_discrete(cfg: ScenarioConfig, rng: np.random.Generator):
     """Draw a full discrete part: UAV count, assignment, channels (padded)."""
     n_active = int(rng.integers(cfg.n_min, cfg.n_max + 1))
     assign = rng.integers(0, n_active, size=cfg.m_pairs)
-    uav_chan = rng.integers(0, cfg.u_channels, size=cfg.n_max)
-    direct_chan = rng.integers(0, cfg.u_channels, size=cfg.k_pairs)
-    return n_active, assign, uav_chan, direct_chan
+    return (n_active, assign, *random_channels(cfg, rng))
+
+
+def random_channels(cfg: ScenarioConfig, rng: np.random.Generator):
+    """Uniform channels of the ``n_max`` UAV slots and of the direct pairs.
+
+    One draw, split into two views: numpy fills a bounded draw value by
+    value from the generator's stream, so this reads the generator exactly
+    as a draw for the UAV slots followed by one for the direct pairs.
+    """
+    channels = rng.integers(0, cfg.u_channels, size=cfg.n_max + cfg.k_pairs)
+    return channels[: cfg.n_max], channels[cfg.n_max :]
 
 
 def random_solution(cfg: ScenarioConfig, rng: np.random.Generator) -> Solution:
@@ -228,13 +237,15 @@ def to_flight_plan(sol: Solution, cfg: ScenarioConfig) -> energy_mod.FlightPlan:
 
 
 # Stage one computes at most this many air-to-ground gains (2M + K ground
-# points times UAV columns) in one pass, plus a few arrays of that size
-# for the intermediate terms.  A larger batch runs in chunks of whole
-# blocks: beyond a few hundred columns batching saves no more call
-# overhead, and an unbounded block raised peak memory by ~18 % at scale 2.
-# Stage two's rate batches (:func:`schedule_rates`) keep to the same bound
-# in B placements x N UAVs x M pairs.
-STAGE_ONE_GAINS = 4096
+# points times UAV columns) in one pass; a larger batch runs in chunks of
+# whole blocks.  Stage two's rate batches (:func:`schedule_rates`) keep to
+# the same bound in B placements x N UAVs x M pairs.  A pass holds 2849
+# columns at scale 1 and 318 at scale 2, so one pass, and one rate batch
+# per UAV count, takes each generation of the benchmark's pop-20 and
+# pop-100 runs (at scale 2 the widest pass measured 56k gains; 4096 took
+# about 13 passes per generation there).  The in-place gain kernel works
+# in about two arrays of a pass's size.
+STAGE_ONE_GAINS = 65536
 
 
 def block_key(sol: Solution) -> tuple[int, ...]:

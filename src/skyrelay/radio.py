@@ -12,6 +12,12 @@ batch axis; a lone placement is a batch of one.  Each batch slice adds in
 the order a lone placement's arrays do, so a placement's rates do not
 depend on its batch.  A batch holds a few (B, N, M) arrays, so callers
 bound B x N x M (``encoding.STAGE_ONE_GAINS``).
+
+:meth:`RadioConstants.a2g_gains` evaluates the air-to-ground model
+(Al-Hourani et al. 2014) from every ground point to a whole stage-one
+pass of UAVs.  It works in place in two arrays of the pass's size, with
+the ufuncs of the term-by-term expression in the same order, so a wide
+pass costs little memory and gives the same bits as a narrow one.
 """
 
 from __future__ import annotations
@@ -295,26 +301,55 @@ class RadioConstants:
         return self._eye[n_uavs]
 
     def a2g_gains(self, uav_xyz: np.ndarray) -> np.ndarray:
-        """Gains from every ground point to UAVs (N, 3); result (2M + K, N)."""
+        """Gains from every ground point to UAVs (N, 3); result (2M + K, N).
+
+        The elevation-angle LoS/NLoS model of :func:`path_loss_a2g`, worked
+        in place in two (2M + K, N) arrays: the ufuncs and their order are
+        those of the expression with a temporary per step, so the result
+        is the same to the bit, with a peak of about two arrays where that
+        expression reached eight.
+        """
         ch = self.ch
-        dx = self.ground_x - uav_xyz[None, :, 0]
-        dy = self.ground_y - uav_xyz[None, :, 1]
-        z = uav_xyz[None, :, 2]
-        d = np.sqrt(dx * dx + dy * dy + z * z)
-        theta_deg = np.degrees(np.arcsin(z / d))
-        los_term = self.eta_gap / (1.0 + ch.a * np.exp(-ch.b * (theta_deg - ch.a)))
-        fspl = 20.0 * np.log10(self.four_pi_fc * d / ch.light_speed_m_s)
-        return 10.0 ** (-(los_term + fspl + ch.eta_nlos) / 10.0)
+        z = uav_xyz[:, 2]
+        d = np.subtract(self.ground_x, uav_xyz[:, 0])
+        t = np.subtract(self.ground_y, uav_xyz[:, 1])
+        np.multiply(d, d, out=d)
+        np.multiply(t, t, out=t)
+        np.add(d, t, out=d)
+        np.add(d, z * z, out=d)
+        np.sqrt(d, out=d)  # distance
+        np.divide(z, d, out=t)
+        np.arcsin(t, out=t)
+        np.degrees(t, out=t)  # elevation angle
+        np.subtract(t, ch.a, out=t)
+        np.multiply(-ch.b, t, out=t)
+        np.exp(t, out=t)
+        np.multiply(ch.a, t, out=t)
+        np.add(1.0, t, out=t)
+        np.divide(self.eta_gap, t, out=t)  # LoS term
+        np.multiply(self.four_pi_fc, d, out=d)
+        np.divide(d, ch.light_speed_m_s, out=d)
+        np.log10(d, out=d)
+        np.multiply(20.0, d, out=d)  # free-space loss
+        np.add(t, d, out=t)
+        np.add(t, ch.eta_nlos, out=t)
+        np.negative(t, out=t)
+        np.divide(t, 10.0, out=t)
+        return np.power(10.0, t, out=t)
 
     def uav_gains(self, uav_xyz: np.ndarray, uav_tx_w: np.ndarray) -> UavGains:
-        """:class:`UavGains` of UAVs at ``uav_xyz`` (N, 3) transmitting ``uav_tx_w``."""
+        """:class:`UavGains` of UAVs at ``uav_xyz`` (N, 3) transmitting ``uav_tx_w``.
+
+        The products are weighted in place in row blocks of one gain array,
+        so ``phu`` and ``pphk`` are C-ordered and ``txhd`` F-ordered.
+        """
         m = self.m_pairs
         h = self.a2g_gains(uav_xyz)
-        return UavGains(
-            phu=self.p_rel[:, None] * h[:m],
-            txhd=uav_tx_w[:, None] * h[m : 2 * m].T,
-            pphk=self.pp_dir[:, None] * h[2 * m :],
-        )
+        phu, txhd, pphk = h[:m], h[m : 2 * m].T, h[2 * m :]
+        np.multiply(self.p_rel[:, None], phu, out=phu)
+        np.multiply(uav_tx_w[:, None], txhd, out=txhd)
+        np.multiply(self.pp_dir[:, None], pphk, out=pphk)
+        return UavGains(phu, txhd, pphk)
 
 
 def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:

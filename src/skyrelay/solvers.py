@@ -275,8 +275,7 @@ def nsga3fdu(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
                 sol.with_discrete(
                     new_n,
                     rng.integers(0, new_n, size=cfg.m_pairs),
-                    rng.integers(0, cfg.u_channels, size=cfg.n_max),
-                    rng.integers(0, cfg.u_channels, size=cfg.k_pairs),
+                    *encoding.random_channels(cfg, rng),
                 )
             )
         return q_set + qp_set
@@ -356,8 +355,7 @@ def ud_baseline(cfg: ScenarioConfig, rng: np.random.Generator) -> Individual:
     sol.z[:n] = (cfg.z_max_m + cfg.z_min_m) / 2.0
     sol.p[:n] = cfg.p_max_w
     sol.assign = rng.integers(0, n, size=cfg.m_pairs)
-    sol.uav_chan = rng.integers(0, cfg.u_channels, size=cfg.n_max)
-    sol.direct_chan = rng.integers(0, cfg.u_channels, size=cfg.k_pairs)
+    sol.uav_chan, sol.direct_chan = encoding.random_channels(cfg, rng)
     return _evaluate([sol], cfg)[0]
 
 

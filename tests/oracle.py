@@ -2,9 +2,9 @@
 
 Everything here is written directly from the model definitions with plain
 loops over explicit interferer sets, favoring obviousness over speed, and
-shares no code with ``skyrelay``.  The last four functions are earlier
-versions of ``skyrelay.moea`` operators, kept as bit-for-bit references
-for the faster ones.
+shares no code with ``skyrelay``.  :func:`a2g_gains` and the last four
+functions are earlier versions of ``skyrelay`` kernels, kept as
+bit-for-bit references for the faster ones.
 """
 
 from __future__ import annotations
@@ -24,6 +24,20 @@ def path_loss_db(wd_xyz, uav_xyz, ch) -> float:
 
 def gain_air(wd_xyz, uav_xyz, ch) -> float:
     return 10.0 ** (-path_loss_db(wd_xyz, uav_xyz, ch) / 10.0)
+
+
+def a2g_gains(ground_x, ground_y, uav_xyz, ch) -> np.ndarray:
+    """Air-to-ground gains from ground points (columns (G, 1) of x and y) to
+    UAVs (N, 3), one temporary per step: the earlier
+    ``RadioConstants.a2g_gains``."""
+    dx = ground_x - uav_xyz[None, :, 0]
+    dy = ground_y - uav_xyz[None, :, 1]
+    z = uav_xyz[None, :, 2]
+    d = np.sqrt(dx * dx + dy * dy + z * z)
+    theta_deg = np.degrees(np.arcsin(z / d))
+    los_term = (ch.eta_los - ch.eta_nlos) / (1.0 + ch.a * np.exp(-ch.b * (theta_deg - ch.a)))
+    fspl = 20.0 * np.log10(4.0 * np.pi * ch.carrier_hz * d / ch.light_speed_m_s)
+    return 10.0 ** (-(los_term + fspl + ch.eta_nlos) / 10.0)
 
 
 def gain_ground(xy1, xy2, ch) -> float:

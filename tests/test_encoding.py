@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_config
 from skyrelay import encoding, energy, radio, solvers
 from skyrelay.encoding import (
     PENALTY_F2,
@@ -61,6 +62,27 @@ def test_random_discrete_full_range(scale_one):
     rng = np.random.default_rng(1)
     counts = {random_discrete(scale_one, rng)[0] for _ in range(500)}
     assert counts == set(range(scale_one.n_min, scale_one.n_max + 1))
+
+
+@pytest.mark.parametrize(("n_max", "k"), [(8, 3), (5, 3), (5, 0)])
+@pytest.mark.parametrize("pending_half", [False, True])
+def test_random_channels_read_the_generator_as_two_draws(n_max, k, pending_half):
+    # the one draw of random_channels must leave the stream where a draw
+    # for the UAV slots followed by one for the direct pairs leaves it, with
+    # or without a 32-bit half pending in the generator beforehand
+    cfg = make_config(np.random.default_rng(0), m=4, k=k, n_min=2, n_max=n_max, u=3)
+    for seed in range(50):
+        merged, split = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending_half:
+            merged.integers(0, 7), split.integers(0, 7)
+        assert merged.bit_generator.state["has_uint32"] == pending_half
+        uav_chan, direct_chan = encoding.random_channels(cfg, merged)
+        for got, want in (
+            (uav_chan, split.integers(0, cfg.u_channels, size=n_max)),
+            (direct_chan, split.integers(0, cfg.u_channels, size=k)),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert merged.bit_generator.state == split.bit_generator.state
 
 
 def test_continuous_vector_roundtrip(scale_one):
@@ -354,6 +376,42 @@ def test_scale_two_rate_groups_split_at_the_budget(scale_two, monkeypatch):
     monkeypatch.undo()
     assert max(batches) <= encoding.STAGE_ONE_GAINS
     assert batches.count(per_batch * n * cfg.m_pairs) >= 2  # the big group split
+    for ind, sol in zip(scored, sols):
+        assert ind.genome is sol and ind.objectives == evaluate(sol, cfg)
+
+
+def test_scale_two_generation_is_one_pass_and_one_rate_batch_per_count(scale_two, monkeypatch):
+    # a pop-20 nsga3fdu generation: 20 Q children, each with a Q' sibling
+    # sharing its continuous arrays, one UAV count away
+    cfg = scale_two
+    rng = np.random.default_rng(18)
+    q_set = [random_solution(cfg, rng) for _ in range(20)]
+    qp_set = []
+    for q in q_set:
+        n = solvers.uav_number_adjust(q.n_active, cfg, 0.5, rng)
+        qp_set.append(
+            q.with_discrete(n, rng.integers(0, n, cfg.m_pairs), *encoding.random_channels(cfg, rng))
+        )
+    sols = q_set + qp_set
+    passes, batches = [], []
+    a2g_gains, link_rates = radio.RadioConstants.a2g_gains, radio.link_rates
+
+    def counting(rc, uav_xyz):
+        passes.append(len(uav_xyz))
+        return a2g_gains(rc, uav_xyz)
+
+    def recording(pl, cfg):
+        batches.append(pl)
+        return link_rates(pl, cfg)
+
+    monkeypatch.setattr(radio.RadioConstants, "a2g_gains", counting)
+    monkeypatch.setattr(radio, "link_rates", recording)
+    scored = solvers._evaluate(sols, cfg)
+    monkeypatch.undo()
+    assert passes == [sum(max(q.n_active, qp.n_active) for q, qp in zip(q_set, qp_set))]
+    assert sorted(pl.n_uavs for pl in batches) == sorted({sol.n_active for sol in sols})
+    for pl in batches:  # the layouts of stacked lone placements
+        assert all(a.flags.c_contiguous for a in (pl.gains.phu, pl.gains.txhd, pl.gains.pphk))
     for ind, sol in zip(scored, sols):
         assert ind.genome is sol and ind.objectives == evaluate(sol, cfg)
 

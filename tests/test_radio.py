@@ -258,6 +258,39 @@ def test_vectorized_matches_scalar():
         np.testing.assert_allclose(vec, scal, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("scale", ["one", "two"])
+def test_a2g_gains_match_reference_bytewise(scale, scale_one, scale_two):
+    cfg = scale_one if scale == "one" else scale_two
+    rc = cfg.radio_constants
+    rng = np.random.default_rng(40)
+    n = 50
+    xyz = np.column_stack(
+        [rng.uniform(cfg.l_min_m, cfg.l_max_m, (n, 2)), rng.uniform(cfg.z_min_m, cfg.z_max_m, n)]
+    )
+    # straight above a relayed SWD, a relayed DWD and the last direct SWD,
+    # at each altitude bound
+    for col, (row, z) in enumerate(
+        [(0, cfg.z_min_m), (cfg.m_pairs, cfg.z_max_m), (rc.n_ground - 1, cfg.z_min_m)]
+    ):
+        xyz[col] = (rc.ground_x[row, 0], rc.ground_y[row, 0], z)
+    xyz[3:6, 2] = (cfg.z_min_m, cfg.z_max_m, cfg.z_max_m)
+    want = oracle.a2g_gains(rc.ground_x, rc.ground_y, xyz, cfg.channel)
+    assert rc.a2g_gains(xyz).tobytes() == want.tobytes()
+
+    tx = rng.uniform(cfg.p_min_w, cfg.p_max_w, n)
+    m = cfg.m_pairs
+    gains = rc.uav_gains(xyz, tx)
+    pp_dir = np.array([p.activity * p.tx_power_w for p in cfg.direct_pairs])
+    for got, ref, c_order in (
+        (gains.phu, rc.p_rel[:, None] * want[:m], True),
+        (gains.txhd, tx[:, None] * want[m : 2 * m].T, False),
+        (gains.pphk, pp_dir[:, None] * want[2 * m :], True),
+    ):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+        assert got.tobytes(order="A") == ref.tobytes(order="A")
+        assert got.flags.c_contiguous == c_order and got.flags.f_contiguous != c_order
+
+
 def _batch(placements, cfg):
     """Stack lone placements of one UAV count into a batch with its gains."""
     rc = cfg.radio_constants
