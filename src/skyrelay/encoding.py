@@ -6,13 +6,14 @@ auxiliary genes that keep crossover and mutation well-defined across
 solutions with different UAV counts.  Auxiliary slots are randomized, not
 zeroed, so they explore meaningfully when the UAV count later grows.
 
-Evaluation has two stages.  :func:`geometries` computes, for a whole batch
-of solutions in one numpy pass, everything the continuous genes alone
-decide: the air-to-ground gain products and each UAV's flight distance,
-energy and time.  Stage two scores the discrete schedules:
-:func:`schedule_rates` rates a batch of solutions with one UAV count in
-one :func:`radio.link_rates` call, and :func:`evaluate` scores each
-solution from its share of both batches.
+Evaluation has two stages, both in :func:`raw_objectives`.  Stage one
+computes, for a whole batch of solutions in one numpy pass, everything the
+continuous genes alone decide: the air-to-ground gain products and each
+UAV's flight distance, energy and time.  Stage two scores the discrete
+schedules one UAV-count group at a time: one :func:`radio.link_rates`
+call per group and row reductions give each solution's capacity, mean
+flight energy and time spread, and :func:`evaluate` turns a solution's
+row into its objective vector.
 """
 
 from __future__ import annotations
@@ -190,21 +191,24 @@ def repair_continuous(sol: Solution, cfg: ScenarioConfig, rng: np.random.Generat
     return out
 
 
-def _check_counts_and_channels(sol: Solution, cfg: ScenarioConfig) -> None:
+def _check_counts(sol: Solution, cfg: ScenarioConfig) -> None:
     if not cfg.n_min <= sol.n_active <= cfg.n_max:
         raise ValueError(f"n_active={sol.n_active} outside [{cfg.n_min}, {cfg.n_max}]")
     if len(sol.assign) != cfg.m_pairs:
         raise ValueError("assignment length != number of relayed pairs")
-    for name, arr in (("uav_chan", sol.uav_chan), ("direct_chan", sol.direct_chan)):
-        # builtin min/max over a list: numpy's reductions cost more on a dozen values
-        values = arr.tolist()
-        if values and (min(values) < 0 or max(values) >= cfg.u_channels):
+
+
+def _check_channels(uav_chan: np.ndarray, direct_chan: np.ndarray, cfg: ScenarioConfig) -> None:
+    """Channels of one solution, or the stacked rows of a group."""
+    for name, channels in (("uav_chan", uav_chan), ("direct_chan", direct_chan)):
+        if channels.size and (channels.min() < 0 or channels.max() >= cfg.u_channels):
             raise ValueError(f"{name} references a non-existent channel")
 
 
 def check_discrete(sol: Solution, cfg: ScenarioConfig) -> None:
     """Assert the discrete-domain constraints; violations are programming bugs."""
-    _check_counts_and_channels(sol, cfg)
+    _check_counts(sol, cfg)
+    _check_channels(sol.uav_chan, sol.direct_chan, cfg)
     if sol.assign.min() < 0 or sol.assign.max() >= sol.n_active:
         raise ValueError("assignment references an inactive UAV slot")
 
@@ -237,14 +241,14 @@ def to_flight_plan(sol: Solution, cfg: ScenarioConfig) -> energy_mod.FlightPlan:
 
 
 # Stage one computes at most this many air-to-ground gains (2M + K ground
-# points times UAV columns) in one pass; a larger batch runs in chunks of
-# whole blocks.  Stage two's rate batches (:func:`schedule_rates`) keep to
-# the same bound in B placements x N UAVs x M pairs.  A pass holds 2849
-# columns at scale 1 and 318 at scale 2, so one pass, and one rate batch
-# per UAV count, takes each generation of the benchmark's pop-20 and
-# pop-100 runs (at scale 2 the widest pass measured 56k gains; 4096 took
-# about 13 passes per generation there).  The in-place gain kernel works
-# in about two arrays of a pass's size.
+# points times UAV columns) in one pass; a larger batch runs in several
+# passes of whole blocks.  Stage two's rate groups keep to the same bound
+# in B placements x N UAVs x M pairs.  A pass holds 2849 columns at scale 1
+# and 318 at scale 2, so one pass, and one rate group per UAV count, takes
+# each generation of the benchmark's pop-20 and pop-100 runs (at scale 2
+# the widest pass measured 56k gains; 4096 took about 13 passes per
+# generation there).  The in-place gain kernel works in about two arrays
+# of a pass's size.
 STAGE_ONE_GAINS = 65536
 
 
@@ -254,32 +258,20 @@ def block_key(sol: Solution) -> tuple[int, ...]:
     return (id(sol.x), id(sol.y), id(sol.z), id(sol.p), id(sol.v))
 
 
-@dataclass(eq=False)
-class Geometry:
-    """What a solution's continuous genes decide, for its active slots:
-    stage one's output and stage two's input."""
+def _stage_one(sols: list[Solution], cfg: ScenarioConfig):
+    """Stage one of evaluation for every solution in ``sols``, in passes.
 
-    gains: radio_mod.UavGains
-    plan: energy_mod.FlightPlan  # flight energies and times already computed
-
-
-def geometries(sols: list[Solution], cfg: ScenarioConfig) -> Iterator[tuple[int, Geometry]]:
-    """Stage one of evaluation for every solution in ``sols``, batched.
-
-    Yields ``(index into sols, geometry)`` once per solution.  Solutions
-    whose five continuous arrays are the same objects form one block,
-    computed over the largest of their UAV counts.  Each chunk of blocks
-    is one numpy pass over their concatenated active slots: gain products
-    (:meth:`radio.RadioConstants.uav_gains`) and flight energies and times
-    (:class:`energy.FlightPlan`); each solution gets views at its block's
-    offset.  A chunk is computed when the caller asks for its first
-    geometry, so a caller that scores each geometry before taking the next
-    holds one chunk's arrays at a time.  Every value is computed
-    elementwise from the same operands as for a lone solution, so batching
-    does not change a bit.
+    Solutions whose five continuous arrays are the same objects form one
+    block, computed over the largest of their UAV counts.  Each pass is one
+    numpy pass over the concatenated active slots of a run of blocks:
+    gain products (:meth:`radio.RadioConstants.uav_gains`) and flight
+    energies and times (:class:`energy.FlightPlan`).  Yields per pass its
+    gains, plan and transmit powers, lone arrays over its UAV columns,
+    and ``(index into sols, first column)`` of each of its solutions.
+    Every value is computed elementwise from the same operands as for a
+    lone solution, so batching does not change a bit.
     """
     rc = cfg.radio_constants
-    ep = cfg.energy
     blocks: dict[tuple[int, ...], list[int]] = {}  # block_key -> solution indices
     for i, sol in enumerate(sols):
         blocks.setdefault(block_key(sol), []).append(i)
@@ -302,72 +294,88 @@ def geometries(sols: list[Solution], cfg: ScenarioConfig) -> Iterator[tuple[int,
             speed_m_s=np.concatenate([s.v[:n] for s, n in chunk]),
             origin_xyz=cfg.origin_xyz,
         )
-        plan.flight_energies(ep)
+        plan.flight_energies(cfg.energy)
         plan.flight_times()
-        gains = rc.uav_gains(xyz, np.concatenate([s.p[:n] for s, n in chunk]))
+        tx_w = np.concatenate([s.p[:n] for s, n in chunk])
+        placed = []
         offset = 0
         for b in range(start, stop):
-            for i in members[b]:
-                end = offset + sols[i].n_active
-                yield i, Geometry(gains.slots(offset, end), plan.slots(offset, end))
+            placed += [(i, offset) for i in members[b]]
             offset += widths[b]
+        yield rc.uav_gains(xyz, tx_w), plan, tx_w, placed
         start = stop
 
 
-def schedule_rates(sols: list[Solution], geoms: list[Geometry], cfg: ScenarioConfig) -> np.ndarray:
-    """Link rates (B, M) of solutions with one UAV count, from their
-    geometries, in one :func:`radio.link_rates` call: the radio step of
-    stage two.  Row b is what the lone solution ``sols[b]`` gets, bit for bit.
+def raw_objectives(
+    sols: list[Solution], cfg: ScenarioConfig
+) -> Iterator[tuple[list[int], list[tuple[float, float, float]]]]:
+    """Capacity, mean flight energy and time spread of every solution in
+    ``sols``: stage one, then stage two one UAV-count group at a time.
+
+    Yields ``(indices into sols, rows)``, one ``(capacity, energy, spread)``
+    row per index.  Each pass's solutions are grouped by UAV count, at most
+    ``STAGE_ONE_GAINS`` B x N x M per group, and scored before the next
+    pass: one :func:`radio.link_rates` call and row reductions, which give
+    each row the bits a lone solution gets.  The checks of
+    :func:`check_discrete` run first, the channel checks over a group's
+    stacked rows; :func:`radio.link_rates` checks the assignment range.
     """
-    n = sols[0].n_active
-    gains = [geometry.gains for geometry in geoms]
-    batch = radio_mod.Placement(
-        uav_xyz=np.array([geometry.plan.dest_xyz for geometry in geoms]),
-        uav_tx_w=np.array([sol.p for sol in sols])[:, :n],
-        assignment=np.array([sol.assign for sol in sols]),
-        uav_channel=np.array([sol.uav_chan for sol in sols])[:, :n],
-        direct_channel=np.array([sol.direct_chan for sol in sols]),
-        gains=radio_mod.UavGains(
-            np.array([g.phu for g in gains]),
-            np.array([g.txhd for g in gains]),
-            np.array([g.pphk for g in gains]),
-        ),
-    )
-    return radio_mod.link_rates(batch, cfg)
+    for sol in sols:
+        _check_counts(sol, cfg)
+    for gains, plan, tx_w, placed in _stage_one(sols, cfg):
+        # Each group as two lists: tuples as long as a group, from
+        # zip(*pairs), kept a 1 MiB allocator arena more resident.
+        groups: dict[int, tuple[list[int], list[int]]] = {}  # count -> indices, columns
+        for i, column in placed:
+            indices, columns = groups.setdefault(sols[i].n_active, ([], []))
+            indices.append(i)
+            columns.append(column)
+        for n, (group, columns) in groups.items():
+            size = max(STAGE_ONE_GAINS // (n * cfg.m_pairs), 1)
+            for lo in range(0, len(group), size):
+                indices = group[lo : lo + size]
+                members = [sols[i] for i in indices]
+                uav_chan = np.array([sol.uav_chan for sol in members])
+                direct_chan = np.array([sol.direct_chan for sol in members])
+                _check_channels(uav_chan, direct_chan, cfg)
+                uavs = np.array(columns[lo : lo + size])[:, None] + np.arange(n)  # (B, n) pass columns
+                batch_plan = plan.take(uavs)
+                batch = radio_mod.Placement(
+                    uav_xyz=batch_plan.dest_xyz,
+                    uav_tx_w=tx_w[uavs],
+                    assignment=np.array([sol.assign for sol in members]),
+                    uav_channel=uav_chan[:, :n],
+                    direct_channel=direct_chan,
+                    gains=gains.take(uavs),
+                )
+                capacity = radio_mod.link_rates(batch, cfg).sum(axis=1)
+                energy = energy_mod.average_flight_energy(batch_plan, cfg.energy)
+                spread = energy_mod.flight_time_spread(batch_plan)
+                yield indices, list(zip(capacity.tolist(), energy.tolist(), spread.tolist()))
 
 
 def evaluate(
     sol: Solution,
     cfg: ScenarioConfig,
-    geometry: Optional[Geometry] = None,
-    rates: Optional[np.ndarray] = None,
+    raw: Optional[tuple[float, float, float]] = None,
 ) -> ObjectiveVector:
     """Objective vector of a repaired solution; padding never contributes.
 
-    Stage two of evaluation: scores the discrete schedule from
-    ``geometry``, the solution's entry in :func:`geometries`, and
-    ``rates``, its row of :func:`schedule_rates`.  Without a geometry,
-    stage one runs on ``[sol]`` first; without rates, the rate step does.
+    The per-solution step of stage two: ``raw`` is the solution's row of
+    :func:`raw_objectives`, which has checked its domain.  Without it,
+    :func:`raw_objectives` runs on ``[sol]`` first, so a lone solution is
+    scored as a group of one.
 
     The time-spread constraint is penalized, not repaired: an infeasible
     deployment gets all three components shifted by the fixed penalties,
     and its ``violation`` records spread - ``t_th_s`` so that selection can
     rank infeasible deployments by how far they are from feasible.
     """
-    # the assignment range is checked once, by radio.link_rates
-    _check_counts_and_channels(sol, cfg)
-    n = sol.n_active
-    if geometry is None:
-        ((_, geometry),) = geometries([sol], cfg)
-    plan = geometry.plan
-    if plan.n_uavs != n:
-        raise ValueError(f"geometry covers {plan.n_uavs} UAV slots, solution has {n}")
-    if rates is None:
-        (rates,) = schedule_rates([sol], [geometry], cfg)
-    neg_f1 = -float(rates.sum())
-    f2 = float(n)
-    f3 = energy_mod.average_flight_energy(plan, cfg.energy)
-    spread = energy_mod.flight_time_spread(plan)
+    if raw is None:
+        ((_, (raw,)),) = raw_objectives([sol], cfg)
+    capacity, f3, spread = raw
+    neg_f1 = -capacity
+    f2 = float(sol.n_active)
     feasible = spread <= cfg.t_th_s
     violation = 0.0
     if not feasible:

@@ -19,15 +19,17 @@ class FlightPlan:
     """Straight-line deployment: one destination and speed per UAV.
 
     ``distances`` is computed from the destinations at construction, the
-    per-UAV flight times and energies on first use; :meth:`slots` shares
+    per-UAV flight times and energies on first use; :meth:`take` gathers
     all three with the plans it cuts.  Build a new plan rather than moving
-    the destinations or changing the speeds of an existing one.
+    the destinations or changing the speeds of an existing one.  A batch
+    of B plans with one UAV count has the same fields with a leading axis
+    of B.
     """
 
-    dest_xyz: np.ndarray  # (N, 3) m
-    speed_m_s: np.ndarray  # (N,) m/s
+    dest_xyz: np.ndarray  # (N, 3) m, (B, N, 3) in a batch
+    speed_m_s: np.ndarray  # (N,) m/s, (B, N) in a batch
     origin_xyz: tuple[float, float, float]
-    distances: np.ndarray = field(init=False, repr=False)  # (N,) m from the origin
+    distances: np.ndarray = field(init=False, repr=False)  # (N,) or (B, N) m from the origin
     _times: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     _energies: Optional[tuple[EnergyParams, np.ndarray]] = field(
         init=False, repr=False, default=None
@@ -36,11 +38,11 @@ class FlightPlan:
     def __post_init__(self) -> None:
         offset = self.dest_xyz - np.asarray(self.origin_xyz)
         # the sum np.linalg.norm(offset, axis=1) computes, without its glue
-        self.distances = np.sqrt(np.add.reduce(offset * offset, axis=1))
+        self.distances = np.sqrt(np.add.reduce(offset * offset, axis=-1))
 
     @property
     def n_uavs(self) -> int:
-        return len(self.dest_xyz)
+        return self.dest_xyz.shape[-2]
 
     def flight_times(self) -> np.ndarray:
         if self._times is None:
@@ -54,22 +56,23 @@ class FlightPlan:
             if (speeds <= 0.0).any():
                 raise EnergyError("speed must be > 0")
             potential = (
-                ep.uav_mass_kg * ep.gravity_m_s2 * (self.dest_xyz[:, 2] - self.origin_xyz[2])
+                ep.uav_mass_kg * ep.gravity_m_s2 * (self.dest_xyz[..., 2] - self.origin_xyz[2])
             )
             energies = propulsion_power(speeds, ep) * (self.distances / speeds) + potential
             self._energies = (ep, energies)
         return self._energies[1]
 
-    def slots(self, start: int, stop: int) -> "FlightPlan":
-        """The plan of UAVs ``start:stop``: views of this plan's arrays."""
+    def take(self, uavs: np.ndarray) -> "FlightPlan":
+        """The plan of the UAVs ``uavs`` indexes, gathered from this lone
+        plan's arrays; a (B, N) index gives a batch of B plans."""
         part = object.__new__(FlightPlan)
-        part.dest_xyz = self.dest_xyz[start:stop]
-        part.speed_m_s = self.speed_m_s[start:stop]
+        part.dest_xyz = self.dest_xyz[uavs]
+        part.speed_m_s = self.speed_m_s[uavs]
         part.origin_xyz = self.origin_xyz
-        part.distances = self.distances[start:stop]
-        part._times = None if self._times is None else self._times[start:stop]
+        part.distances = self.distances[uavs]
+        part._times = None if self._times is None else self._times[uavs]
         part._energies = (
-            None if self._energies is None else (self._energies[0], self._energies[1][start:stop])
+            None if self._energies is None else (self._energies[0], self._energies[1][uavs])
         )
         return part
 
@@ -112,18 +115,20 @@ def flight_energy(dest_xyz, speed: float, origin_xyz, ep: EnergyParams) -> float
     return propulsion_power(speed, ep) * (distance / speed) + potential
 
 
-def average_flight_energy(plan: FlightPlan, ep: EnergyParams) -> float:
-    """Mean deployment flight energy (J) over the plan's UAVs."""
+def average_flight_energy(plan: FlightPlan, ep: EnergyParams):
+    """Mean deployment flight energy (J) over the plan's UAVs: a float for
+    a lone plan, (B,) for a batch, each row the bits of its lone plan's."""
     if plan.n_uavs == 0:
         raise EnergyError("flight plan has no UAVs")
-    # numpy's pairwise sum depends only on the length, so a slice of a
-    # batch sums exactly as a plan of its own would
-    return float(plan.flight_energies(ep).sum()) / plan.n_uavs
+    mean = plan.flight_energies(ep).sum(axis=-1) / plan.n_uavs
+    return float(mean) if mean.ndim == 0 else mean
 
 
-def flight_time_spread(plan: FlightPlan) -> float:
-    """Difference between the latest and earliest UAV arrival times (s)."""
+def flight_time_spread(plan: FlightPlan):
+    """Latest minus earliest UAV arrival time (s): a float for a lone plan,
+    (B,) for a batch."""
     if plan.n_uavs == 0:
         raise EnergyError("flight plan has no UAVs")
     times = plan.flight_times()
-    return float(times.max() - times.min())
+    spread = times.max(axis=-1) - times.min(axis=-1)
+    return float(spread) if spread.ndim == 0 else spread

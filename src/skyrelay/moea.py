@@ -48,8 +48,14 @@ def dominates(a, b) -> bool:
     return all(x <= y for x, y in zip(ta, tb)) and any(x < y for x, y in zip(ta, tb))
 
 
-def fast_non_dominated_sort(pop: list[Individual]) -> list[list[Individual]]:
+def fast_non_dominated_sort(
+    pop: list[Individual], limit: Optional[int] = None
+) -> list[list[Individual]]:
     """Partition into fronts; also stamps 1-based ranks on the individuals.
+
+    With a ``limit``, peeling stops once the fronts hold at least ``limit``
+    members: the fronts returned are the first ones of the full sort, and
+    members left unpeeled get rank None.
 
     Uses constrained domination (Deb et al., IEEE TEVC 2002): ``a``
     dominates ``b`` when its ``objectives.violation`` is smaller, or when
@@ -75,13 +81,18 @@ def fast_non_dominated_sort(pop: list[Individual]) -> list[list[Individual]]:
     remaining = dom.sum(axis=0)  # dominators of each member not yet peeled
     current = np.flatnonzero(remaining == 0)
     fronts: list[list[Individual]] = []
-    rank = 1
+    rank, peeled = 1, 0
     while current.size:
         front = [pop[i] for i in current.tolist()]
         for ind in front:
             ind.rank = rank
         fronts.append(front)
         remaining[current] = -1  # peeled; no later front dominates them
+        peeled += len(front)
+        if limit is not None and peeled >= limit:
+            for i in np.flatnonzero(remaining >= 0).tolist():
+                pop[i].rank = None
+            break
         beaten = dom[current]
         remaining -= beaten.sum(axis=0)
         nxt = np.flatnonzero(remaining == 0)
@@ -166,7 +177,7 @@ def nsga3_select(
     """
     if len(merged) < target:
         raise ValueError("merged population smaller than the selection target")
-    fronts = fast_non_dominated_sort(merged)
+    fronts = fast_non_dominated_sort(merged, target)
     chosen: list[Individual] = []
     split: list[Individual] = []
     for front in fronts:
@@ -233,7 +244,7 @@ def crowding_select(merged: list[Individual], target: int) -> list[Individual]:
     """
     if len(merged) < target:
         raise ValueError("merged population smaller than the selection target")
-    fronts = fast_non_dominated_sort(merged)
+    fronts = fast_non_dominated_sort(merged, target)
     chosen: list[Individual] = []
     for front in fronts:
         if len(chosen) + len(front) <= target:

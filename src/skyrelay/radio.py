@@ -39,19 +39,24 @@ class RadioError(ValueError):
 class UavGains:
     """Gain products of a run of UAVs that involve no discrete gene.
 
-    Columns (rows of ``txhd``) follow the UAVs.  :meth:`slots` cuts the
-    products of some of the UAVs as views, so one batch serves many
-    placements.  In a batch of placements each array carries a leading
-    batch axis.
+    Columns (rows of ``txhd``) follow the UAVs.  In a batch of placements
+    each array carries a leading batch axis; :meth:`take` gathers one from
+    the products of a stage-one pass.
     """
 
     phu: np.ndarray  # (M, N) relayed-SWD power x SWD -> UAV gain
     txhd: np.ndarray  # (N, M) UAV transmit power x UAV -> relayed-DWD gain
     pphk: np.ndarray  # (K, N) direct-SWD weighted power x direct SWD -> UAV gain
 
-    def slots(self, start: int, stop: int) -> "UavGains":
+    def take(self, uavs: np.ndarray) -> "UavGains":
+        """The batch of placements whose UAVs the (B, N) index ``uavs``
+        picks from these lone products, each array C-ordered: the layouts
+        of lone placements' products stacked, which :func:`link_rates`
+        adds in the lone order."""
         return UavGains(
-            self.phu[:, start:stop], self.txhd[start:stop], self.pphk[:, start:stop]
+            np.ascontiguousarray(self.phu[:, uavs].transpose(1, 0, 2)),
+            np.ascontiguousarray(self.txhd[uavs]),
+            np.ascontiguousarray(self.pphk[:, uavs].transpose(1, 0, 2)),
         )
 
 
@@ -60,9 +65,10 @@ class Placement:
     """One concrete deployment: UAV states plus assignment and channels.
 
     ``gains`` holds the placement's :class:`UavGains` when they were
-    computed beforehand (in a batch, see :func:`skyrelay.encoding.geometries`)
-    and must then match ``uav_xyz`` and ``uav_tx_w``; left None,
-    :func:`link_rates` computes them.  A batch of B placements with one UAV
+    computed beforehand (in a stage-one pass, see
+    :func:`skyrelay.encoding.raw_objectives`) and must then match
+    ``uav_xyz`` and ``uav_tx_w``; left None, :func:`link_rates` computes
+    them.  A batch of B placements with one UAV
     count has the same fields with a leading axis of B, and its gains.
     """
 

@@ -101,30 +101,15 @@ def uav_number_adjust(n: int, cfg: ScenarioConfig, p_in: float, rng: np.random.G
 def _evaluate(sols: list[Solution], cfg: ScenarioConfig) -> list[Individual]:
     """Two-stage evaluation, results in the order of ``sols``.
 
-    Stage one runs in batched geometry passes over ``sols``.  As geometries
-    arrive they are grouped by UAV count; a group is rated in one
-    :func:`encoding.schedule_rates` call once one more solution would take
-    it past ``encoding.STAGE_ONE_GAINS`` rate-step elements (B x N x M),
-    and the rest at the end.  Each solution is then scored from its rate
-    row by ``encoding.evaluate``, looked up as a module attribute.
+    :func:`encoding.raw_objectives` scores ``sols`` one UAV-count group at
+    a time; each solution then gets its objective vector from its row
+    through ``encoding.evaluate``, looked up as a module attribute.
     """
     scored: list[Individual] = [None] * len(sols)  # type: ignore[list-item]
-    groups: dict[int, list[tuple[int, encoding.Geometry]]] = {}
-
-    def score(group: list[tuple[int, encoding.Geometry]]) -> None:
-        members = [sols[i] for i, _ in group]
-        rates = encoding.schedule_rates(members, [geometry for _, geometry in group], cfg)
-        for (i, geometry), sol, row in zip(group, members, rates):
-            scored[i] = Individual(genome=sol, objectives=encoding.evaluate(sol, cfg, geometry, row))
-
-    for i, geometry in encoding.geometries(sols, cfg):
-        n = sols[i].n_active
-        group = groups.setdefault(n, [])
-        group.append((i, geometry))
-        if (len(group) + 1) * n * cfg.m_pairs > encoding.STAGE_ONE_GAINS:
-            score(groups.pop(n))
-    for group in groups.values():
-        score(group)
+    for indices, rows in encoding.raw_objectives(sols, cfg):
+        for i, raw in zip(indices, rows):
+            sol = sols[i]
+            scored[i] = Individual(genome=sol, objectives=encoding.evaluate(sol, cfg, raw))
     return scored
 
 
@@ -212,7 +197,7 @@ def _mutate_discrete_plain(
 
 
 def _first_front(pop: list[Individual]) -> list[Individual]:
-    return moea.fast_non_dominated_sort(pop)[0]
+    return moea.fast_non_dominated_sort(pop, 1)[0]
 
 
 def _moea(

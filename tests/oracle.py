@@ -1,10 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written directly from the model definitions with plain
-loops over explicit interferer sets, favoring obviousness over speed, and
-shares no code with ``skyrelay``.  :func:`a2g_gains` and the last four
-functions are earlier versions of ``skyrelay`` kernels, kept as
-bit-for-bit references for the faster ones.
+Everything here but :func:`lone_objectives` is written directly from the
+model definitions with plain loops over explicit interferer sets, favoring
+obviousness over speed, and shares no code with ``skyrelay``.
+:func:`a2g_gains`, :func:`classic_fronts`, :func:`sbx`,
+:func:`poly_mutation` and :func:`nsga3_niching` are earlier versions of
+``skyrelay`` kernels, kept as bit-for-bit references for the faster ones.
+:func:`lone_objectives` is the earlier per-solution scoring, built from
+``skyrelay``'s lone-placement entry points.
 """
 
 from __future__ import annotations
@@ -310,3 +313,28 @@ def nsga3_niching(n_chosen, niche_of, distance, n_refs, target, rng) -> list[int
         remaining.remove(pick)
         niche_count[niche] += 1
     return picks
+
+
+def lone_objectives(sol, cfg) -> tuple[float, float, float, bool, float]:
+    """(neg_f1, f2, f3, feasible, violation) of one solution scored alone.
+
+    The per-solution scoring that grouped scoring replaced: the rates of
+    the lone placement, their sum, the mean and spread of the lone flight
+    plan's per-UAV energies and times, then the fixed penalties.
+    """
+    from skyrelay import encoding, radio
+
+    plan = encoding.to_flight_plan(sol, cfg)
+    neg_f1 = -float(radio.link_rates(encoding.to_placement(sol, cfg), cfg).sum())
+    f2 = float(sol.n_active)
+    f3 = float(plan.flight_energies(cfg.energy).sum()) / plan.n_uavs
+    times = plan.flight_times()
+    spread = float(times.max() - times.min())
+    feasible = spread <= cfg.t_th_s
+    violation = 0.0
+    if not feasible:
+        neg_f1 += encoding.PENALTY_NEG_F1
+        f2 += encoding.PENALTY_F2
+        f3 += encoding.PENALTY_F3
+        violation = spread - cfg.t_th_s
+    return neg_f1, f2, f3, feasible, violation

@@ -1,10 +1,12 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import make_config
 from skyrelay import encoding, energy, radio, solvers
 from skyrelay.encoding import (
@@ -15,7 +17,6 @@ from skyrelay.encoding import (
     Solution,
     continuous_bounds,
     evaluate,
-    geometries,
     random_discrete,
     random_solution,
     repair_continuous,
@@ -132,7 +133,12 @@ def test_domain_error_messages(field, bad_value, message, scale_one):
         getattr(sol, field)[index] = value
     else:
         setattr(sol, field, bad_value)
-    for check in (encoding.check_discrete, evaluate):
+    others = [random_solution(scale_one, np.random.default_rng(seed)) for seed in range(12)]
+
+    def among_others(sol, cfg):  # one bad member among valid ones
+        solvers._evaluate(others[:6] + [sol] + others[6:], cfg)
+
+    for check in (encoding.check_discrete, evaluate, among_others):
         with pytest.raises(ValueError) as err:
             check(sol, scale_one)
         assert str(err.value) == message
@@ -290,19 +296,42 @@ def _mixed_batch(cfg, rng):
     return batch, pairs
 
 
+def _scored_groups(batch, cfg, monkeypatch):
+    """Each group of ``encoding.raw_objectives(batch, cfg)`` with the
+    placement batch it rated and that batch's rates."""
+    rated = []
+    link_rates = radio.link_rates
+
+    def recording(pl, cfg):
+        rated.append((pl, link_rates(pl, cfg)))
+        return rated[-1][1]
+
+    monkeypatch.setattr(radio, "link_rates", recording)
+    groups = list(encoding.raw_objectives(batch, cfg))
+    monkeypatch.undo()
+    assert len(rated) == len(groups)
+    return [(indices, rows, pl, rates) for (indices, rows), (pl, rates) in zip(groups, rated)]
+
+
 @pytest.mark.parametrize("scale", ["one", "two"])
-def test_stage_one_batch_matches_lone_evaluation(scale, scale_one, scale_two):
+def test_stage_one_batch_matches_lone_evaluation(scale, scale_one, scale_two, monkeypatch):
     # perfbench/verify.py re-evaluates front members alone and expects
     # exactly the objectives the batched loop stored
     cfg = scale_one if scale == "one" else scale_two
     batch, pairs = _mixed_batch(cfg, np.random.default_rng(12))
-    geoms = dict(geometries(batch, cfg))
-    assert sorted(geoms) == list(range(len(batch)))
-    for q, qp in pairs:
-        g_q, g_qp = (geoms[next(i for i, s in enumerate(batch) if s is t)] for t in (q, qp))
-        assert np.shares_memory(g_q.plan.dest_xyz, g_qp.plan.dest_xyz)
+    placed = {}  # index -> (pass number, first column)
+    for p, (_, _, _, members) in enumerate(encoding._stage_one(batch, cfg)):
+        placed.update((i, (p, column)) for i, column in members)
+    assert sorted(placed) == list(range(len(batch)))
+    for q, qp in pairs:  # a Q/Q' block is computed once
+        i_q, i_qp = (next(i for i, s in enumerate(batch) if s is t) for t in (q, qp))
+        assert placed[i_q] == placed[i_qp]
+    raws = {}
+    for indices, rows, _, _ in _scored_groups(batch, cfg, monkeypatch):
+        raws.update(zip(indices, rows))
+    assert sorted(raws) == list(range(len(batch)))
     for i, sol in enumerate(batch):
-        assert evaluate(sol, cfg, geoms[i]) == evaluate(sol, cfg)
+        assert evaluate(sol, cfg, raws[i]) == evaluate(sol, cfg)
 
 
 # SHA-256 of the link-rate doubles of fixed random deployments of
@@ -323,46 +352,75 @@ def test_link_rate_bits_unchanged(scale, scale_one, scale_two):
     digest = hashlib.sha256()
     for _ in range(20 if scale == "one" else 5):
         sols = [random_solution(cfg, rng) for _ in range(12)]
-        for i, geometry in geometries(sols, cfg):
-            own = encoding.to_placement(sols[i], cfg)
-            staged = radio.Placement(
-                own.uav_xyz, own.uav_tx_w, own.assignment, own.uav_channel,
-                own.direct_channel, geometry.gains,
-            )
-            for pl in (staged, own):
-                digest.update(radio.link_rates(pl, cfg).tobytes())
+        for gains, _, _, members in encoding._stage_one(sols, cfg):
+            for i, column in members:
+                own = encoding.to_placement(sols[i], cfg)
+                uavs = column + np.arange(sols[i].n_active)[None]
+                staged = radio.Placement(
+                    own.uav_xyz[None], own.uav_tx_w[None], own.assignment[None],
+                    own.uav_channel[None], own.direct_channel[None], gains.take(uavs),
+                )
+                for pl in (staged, own):
+                    digest.update(radio.link_rates(pl, cfg).tobytes())
     assert digest.hexdigest() == GOLDEN_RATES[scale]
 
 
 @pytest.mark.parametrize("scale", ["one", "two"])
-def test_rate_batches_match_lone_rates_bytewise(scale, scale_one, scale_two):
-    # one batch per UAV count, every member's row against its lone rates
+def test_rate_batches_match_lone_rates_bytewise(scale, scale_one, scale_two, monkeypatch):
+    # one batch per UAV count and pass, every member's row against its lone rates
     cfg = scale_one if scale == "one" else scale_two
     batch, _ = _mixed_batch(cfg, np.random.default_rng(15))
-    geoms = dict(geometries(batch, cfg))
-    by_count = {}
-    for i, sol in enumerate(batch):
-        by_count.setdefault(sol.n_active, []).append(i)
-    assert len(by_count) == cfg.n_max - cfg.n_min + 1
-    for members in by_count.values():
-        rates = encoding.schedule_rates([batch[i] for i in members], [geoms[i] for i in members], cfg)
-        assert rates.shape == (len(members), cfg.m_pairs)
-        for i, row in zip(members, rates):
+    assert {sol.n_active for sol in batch} == set(range(cfg.n_min, cfg.n_max + 1))
+    for indices, rows, pl, rates in _scored_groups(batch, cfg, monkeypatch):
+        assert {batch[i].n_active for i in indices} == {pl.n_uavs}
+        assert rates.shape == (len(indices), cfg.m_pairs)
+        for i, row, raw in zip(indices, rates, rows):
             lone = radio.link_rates(encoding.to_placement(batch[i], cfg), cfg)
             assert row.tobytes() == lone.tobytes()
-            assert row.tobytes() == encoding.schedule_rates([batch[i]], [geoms[i]], cfg)[0].tobytes()
-            assert evaluate(batch[i], cfg, geoms[i], row) == evaluate(batch[i], cfg)
+            ((_, _, _, alone),) = _scored_groups([batch[i]], cfg, monkeypatch)
+            assert row.tobytes() == alone[0].tobytes()
+            assert evaluate(batch[i], cfg, raw) == evaluate(batch[i], cfg)
+
+
+def _objective_bytes(ov):
+    neg_f1, f2, f3, feasible, violation = ov
+    return struct.pack("<3d?d", neg_f1, f2, f3, feasible, violation)
+
+
+@pytest.mark.parametrize("scale", ["one", "two"])
+def test_grouped_scoring_matches_lone_reference_bytewise(scale, scale_one, scale_two):
+    # every count, Q/Q' siblings with different counts, several passes,
+    # feasible and infeasible members: each objective vector has the bits
+    # of the per-solution scoring
+    cfg = scale_one if scale == "one" else scale_two
+    rng = np.random.default_rng(19)
+    feasible = set()
+    for _ in range(3):
+        batch, _ = _mixed_batch(cfg, rng)
+        for sol in batch[::3]:  # nearby destinations at one speed: feasible
+            for axis, centre in zip("xyz", (300.0, 300.0, 400.0)):
+                getattr(sol, axis)[:] = centre + rng.uniform(-10.0, 10.0, cfg.n_max)
+            sol.v[:] = cfg.v_max_m_s
+        for ind, sol in zip(solvers._evaluate(batch, cfg), batch):
+            ov = ind.objectives
+            got = (ov.neg_f1, ov.f2, ov.f3, ov.feasible, ov.violation)
+            assert _objective_bytes(got) == _objective_bytes(oracle.lone_objectives(sol, cfg))
+            feasible.add(ov.feasible)
+    assert feasible == {True, False}
 
 
 def test_scale_two_rate_groups_split_at_the_budget(scale_two, monkeypatch):
+    # siblings sharing one block's columns, all with one UAV count: a pass
+    # group larger than one rate batch
     cfg = scale_two
     rng = np.random.default_rng(16)
     n = cfg.n_min
     per_batch = encoding.STAGE_ONE_GAINS // (n * cfg.m_pairs)
-    sols = [random_solution(cfg, rng) for _ in range(2 * per_batch + 1)]
-    for sol in sols:
-        sol.n_active = n
-        sol.assign %= n
+    base = random_solution(cfg, rng)
+    sols = [
+        base.with_discrete(n, rng.integers(0, n, cfg.m_pairs), *encoding.random_channels(cfg, rng))
+        for _ in range(2 * per_batch + 1)
+    ]
     sols += [random_solution(cfg, rng) for _ in range(6)]
     batches = []
     original = radio.link_rates
@@ -416,20 +474,6 @@ def test_scale_two_generation_is_one_pass_and_one_rate_batch_per_count(scale_two
         assert ind.genome is sol and ind.objectives == evaluate(sol, cfg)
 
 
-def test_evaluate_rejects_mismatched_geometry(scale_one):
-    rng = np.random.default_rng(13)
-    sol = random_solution(scale_one, rng)
-    other = sol.with_discrete(
-        sol.n_active - 1 if sol.n_active > scale_one.n_min else sol.n_active + 1,
-        sol.assign % scale_one.n_min,
-        sol.uav_chan,
-        sol.direct_chan,
-    )
-    ((_, geometry),) = geometries([other], scale_one)
-    with pytest.raises(ValueError):
-        evaluate(sol, scale_one, geometry)
-
-
 def _slot_permuted(sol, rng):
     n = sol.n_active
     perm = rng.permutation(n)
@@ -470,9 +514,7 @@ def test_relabelling_invariance_in_a_batch(seed, two, scale_one, scale_two):
     slots = [_slot_permuted(sol, rng) for sol in base]
     channels = [_channel_permuted(sol, cfg, rng) for sol in base]
     batch = slots + base + channels
-    scores = [None] * len(batch)
-    for i, g in geometries(batch, cfg):
-        scores[i] = evaluate(batch[i], cfg, g)
+    scores = [ind.objectives for ind in solvers._evaluate(batch, cfg)]
     k = len(base)
     for i in range(k):
         _assert_same_objectives(scores[k + i], scores[i])

@@ -120,3 +120,36 @@ def test_flight_time_spread():
         origin_xyz=(0.0, 0.0, 200.0),
     )
     assert flight_time_spread(single) == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_batch_rows_equal_lone_plans_bytewise(n):
+    # rows up to 17 UAVs cross the 8-element block of numpy's pairwise sum
+    rng = np.random.default_rng(n)
+    b = 6
+    batch = FlightPlan(
+        dest_xyz=np.stack(
+            [rng.uniform(0.0, 400.0, (b, n)), rng.uniform(0.0, 400.0, (b, n)),
+             rng.uniform(200.0, 500.0, (b, n))],
+            axis=-1,
+        ),
+        speed_m_s=rng.uniform(6.0, 16.0, (b, n)),
+        origin_xyz=(0.0, 0.0, 200.0),
+    )
+    energies = average_flight_energy(batch, EP)
+    spreads = flight_time_spread(batch)
+    assert energies.shape == spreads.shape == (b,)
+    for row in range(b):
+        lone = FlightPlan(
+            dest_xyz=batch.dest_xyz[row].copy(),
+            speed_m_s=batch.speed_m_s[row].copy(),
+            origin_xyz=batch.origin_xyz,
+        )
+        energy, spread = average_flight_energy(lone, EP), flight_time_spread(lone)
+        assert type(energy) is float and type(spread) is float
+        assert energies[row].tobytes() == np.float64(energy).tobytes()
+        assert spreads[row].tobytes() == np.float64(spread).tobytes()
+        # a plan gathered from a lone one scores as that lone one
+        taken = lone.take(np.arange(n)[None])
+        assert average_flight_energy(taken, EP)[0] == energy
+        assert flight_time_spread(taken)[0] == spread

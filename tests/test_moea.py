@@ -89,6 +89,31 @@ def test_fast_sort_matches_classic_peel():
         assert [member.rank for member in pop] == [member.rank for member in ref]
 
 
+def test_limited_sort_is_a_prefix_of_the_full_sort():
+    # a limited sort stops after the front that reaches the limit; its
+    # fronts are the full sort's first ones, member for member, and only
+    # their members keep a rank
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(1, 201))
+        levels = int(rng.choice([3, 6, 1000]))  # few levels force duplicate rows
+        keys = rng.integers(0, levels, (n, 3)).astype(float)
+        viol = rng.choice([0.0, 0.0, 0.5, 1.5, 2.0], n) * (rng.random(n) < rng.random())
+        pop = [ind(tuple(k), float(v)) for k, v in zip(keys, viol)]
+        full = fast_non_dominated_sort(pop)
+        full_ranks = [member.rank for member in pop]
+        for limit in sorted({1, int(rng.integers(1, n + 1)), n}):
+            for member in pop:
+                member.rank = 0  # a stale rank from an earlier sort
+            fronts = fast_non_dominated_sort(pop, limit)
+            k = len(fronts)
+            assert [[id(m) for m in f] for f in fronts] == [[id(m) for m in f] for f in full[:k]]
+            assert sum(map(len, fronts)) >= limit > sum(map(len, full[: k - 1]))
+            peeled = {id(m) for f in fronts for m in f}
+            for member, rank in zip(pop, full_ranks):
+                assert member.rank == (rank if id(member) in peeled else None)
+
+
 def test_fast_sort_stamps_ranks():
     pop = [ind((0.0, 0.0, 0.0)), ind((1.0, 1.0, 1.0)), ind((2.0, 0.0, 0.0))]
     fronts = fast_non_dominated_sort(pop)
@@ -264,6 +289,7 @@ def test_crowding_select_size_and_rank_order():
     merged = _random_pop(rng, 60)
     chosen = crowding_select(merged, 20)
     assert len(chosen) == 20
+    fast_non_dominated_sort(merged)
     worst = max(i.rank for i in chosen)
     assert all(i in chosen for i in merged if i.rank < worst)
 
