@@ -27,10 +27,10 @@ from .solvers import STRATEGIES, RunConfig
 
 # The final front of one trial of each algorithm; solvers are looked up at call time.
 _SOLVERS = {
-    "nsga3fdu": lambda cfg, rc: solvers.nsga3fdu(cfg, rc).final_front,
-    "nsga3": lambda cfg, rc: solvers.nsga3_plain(cfg, rc).final_front,
-    "nsga2": lambda cfg, rc: solvers.nsga2(cfg, rc).final_front,
-    "wsga": lambda cfg, rc: solvers.weighted_sum_ga(cfg, rc).final_front,
+    "nsga3fdu": lambda cfg, rc: solvers.nsga3fdu(cfg, rc),
+    "nsga3": lambda cfg, rc: solvers.nsga3_plain(cfg, rc),
+    "nsga2": lambda cfg, rc: solvers.nsga2(cfg, rc),
+    "wsga": lambda cfg, rc: solvers.weighted_sum_ga(cfg, rc),
     "ud": lambda cfg, rc: [solvers.ud_baseline(cfg, np.random.default_rng(rc.seed))],
     "rd": lambda cfg, rc: [solvers.rd_baseline(cfg, np.random.default_rng(rc.seed))],
 }

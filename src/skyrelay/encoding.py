@@ -3,8 +3,10 @@
 A :class:`Solution` always stores arrays padded to ``n_max`` slots; only
 the first ``n_active`` slots describe deployed UAVs, the rest are
 auxiliary genes that keep crossover and mutation well-defined across
-solutions with different UAV counts.  Auxiliary slots are randomized, not
-zeroed, so they explore meaningfully when the UAV count later grows.
+solutions with different UAV counts.  Auxiliary slots are drawn at random
+and bred like active ones, but no objective reads them, so selection never
+shapes them: a slot that a larger UAV count later activates carries
+whatever genes variation left in it.
 
 Evaluation has two stages, both in :func:`raw_objectives`.  Stage one
 computes, for a whole batch of solutions in one numpy pass, everything the
@@ -59,68 +61,56 @@ class ObjectiveVector:
         return -self.neg_f1
 
 
+def _axis(k: int) -> property:
+    """Read/write view of segment ``k`` of :attr:`Solution.genes`."""
+
+    def view(self: "Solution") -> np.ndarray:
+        n = len(self.genes) // 5
+        return self.genes[k * n : (k + 1) * n]
+
+    return property(view)
+
+
 @dataclass(eq=False)
 class Solution:
     """One candidate schedule, padded to ``n_max`` UAV slots.
 
-    Solutions may share arrays (a Q' sibling shares its Q child's
-    continuous genes), so code that writes into a solution's arrays works
-    on a :meth:`copy`.
+    ``genes`` is the only store of the continuous genes: one x|y|z|p|v
+    vector laid out as :func:`continuous_bounds` describes, which variation
+    and repair work on whole.  ``x``, ``y``, ``z``, ``p`` and ``v`` are
+    read/write views of its segments.  Solutions may share arrays (a Q'
+    sibling shares its Q child's ``genes``), so code that writes into a
+    solution's arrays works on a :meth:`copy`.
     """
 
-    x: np.ndarray  # (n_max,) m
-    y: np.ndarray  # (n_max,) m
-    z: np.ndarray  # (n_max,) m
-    p: np.ndarray  # (n_max,) W
-    v: np.ndarray  # (n_max,) m/s
+    genes: np.ndarray  # (5 n_max,) m, m, m, W, m/s
+    n_active: int
     assign: np.ndarray  # (M,) int, UAV slot per relayed pair, < n_active
     uav_chan: np.ndarray  # (n_max,) int channel per UAV slot
     direct_chan: np.ndarray  # (K,) int channel per direct pair
-    n_active: int
+
+    x = _axis(0)
+    y = _axis(1)
+    z = _axis(2)
+    p = _axis(3)
+    v = _axis(4)
 
     def copy(self) -> "Solution":
         return Solution(
-            x=self.x.copy(),
-            y=self.y.copy(),
-            z=self.z.copy(),
-            p=self.p.copy(),
-            v=self.v.copy(),
-            assign=self.assign.copy(),
-            uav_chan=self.uav_chan.copy(),
-            direct_chan=self.direct_chan.copy(),
-            n_active=self.n_active,
-        )
-
-    @staticmethod
-    def from_parts(vec: np.ndarray, n_active: int, assign, uav_chan, direct_chan) -> "Solution":
-        """A solution whose continuous genes are views of ``vec``, laid out as
-        :meth:`continuous_vector`, with the given discrete part."""
-        n = len(vec) // 5
-        return Solution(
-            x=vec[0:n],
-            y=vec[n : 2 * n],
-            z=vec[2 * n : 3 * n],
-            p=vec[3 * n : 4 * n],
-            v=vec[4 * n : 5 * n],
-            assign=assign,
-            uav_chan=uav_chan,
-            direct_chan=direct_chan,
-            n_active=n_active,
+            self.genes.copy(),
+            self.n_active,
+            self.assign.copy(),
+            self.uav_chan.copy(),
+            self.direct_chan.copy(),
         )
 
     def with_discrete(self, n_active: int, assign, uav_chan, direct_chan) -> "Solution":
-        """A solution sharing this one's continuous arrays, with the given discrete part."""
-        return Solution(
-            self.x, self.y, self.z, self.p, self.v, assign, uav_chan, direct_chan, n_active
-        )
-
-    def continuous_vector(self) -> np.ndarray:
-        """Concatenated continuous genes (all padded slots) for variation."""
-        return np.concatenate([self.x, self.y, self.z, self.p, self.v])
+        """A solution sharing this one's ``genes``, with the given discrete part."""
+        return Solution(self.genes, n_active, assign, uav_chan, direct_chan)
 
 
 def continuous_bounds(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Lower/upper bound vectors matching ``Solution.continuous_vector``."""
+    """Lower/upper bound vectors matching ``Solution.genes``."""
     n = cfg.n_max
     lower = np.concatenate(
         [
@@ -164,30 +154,24 @@ def random_channels(cfg: ScenarioConfig, rng: np.random.Generator):
 def random_solution(cfg: ScenarioConfig, rng: np.random.Generator) -> Solution:
     """Uniform random solution: continuous within bounds, discrete in domain."""
     lower, upper = cfg.gene_bounds
-    return Solution.from_parts(rng.uniform(lower, upper), *random_discrete(cfg, rng))
+    return Solution(rng.uniform(lower, upper), *random_discrete(cfg, rng))
 
 
 def repair_continuous(sol: Solution, cfg: ScenarioConfig, rng: np.random.Generator) -> Solution:
     """Resample any out-of-bounds continuous gene uniformly within its bounds.
 
     Returns ``sol`` itself when every gene is in bounds (variation clips, so
-    that is the usual case), else a repaired copy.
+    that is the usual case), else a repaired copy.  The replacements are
+    one draw, taken in the order of ``genes``.
     """
     lower, upper = cfg.gene_bounds
-    vec = sol.continuous_vector()
-    if ((vec >= lower) & (vec <= upper)).all():  # NaN fails both tests
+    ok = (sol.genes >= lower) & (sol.genes <= upper)  # NaN fails both tests
+    if ok.all():
         return sol
     out = sol.copy()
-    for arr, lo, hi in (
-        (out.x, cfg.l_min_m, cfg.l_max_m),
-        (out.y, cfg.l_min_m, cfg.l_max_m),
-        (out.z, cfg.z_min_m, cfg.z_max_m),
-        (out.p, cfg.p_min_w, cfg.p_max_w),
-        (out.v, cfg.v_min_m_s, cfg.v_max_m_s),
-    ):
-        bad = (arr < lo) | (arr > hi) | ~np.isfinite(arr)
-        if bad.any():
-            arr[bad] = lo + rng.random(int(bad.sum())) * (hi - lo)
+    bad = ~ok
+    lo, hi = lower[bad], upper[bad]
+    out.genes[bad] = lo + rng.random(int(bad.sum())) * (hi - lo)
     return out
 
 
@@ -252,29 +236,23 @@ def to_flight_plan(sol: Solution, cfg: ScenarioConfig) -> energy_mod.FlightPlan:
 STAGE_ONE_GAINS = 65536
 
 
-def block_key(sol: Solution) -> tuple[int, ...]:
-    """Identity of a solution's five continuous arrays, equal for solutions
-    that share them (see :meth:`Solution.with_discrete`) while they live."""
-    return (id(sol.x), id(sol.y), id(sol.z), id(sol.p), id(sol.v))
-
-
 def _stage_one(sols: list[Solution], cfg: ScenarioConfig):
     """Stage one of evaluation for every solution in ``sols``, in passes.
 
-    Solutions whose five continuous arrays are the same objects form one
-    block, computed over the largest of their UAV counts.  Each pass is one
-    numpy pass over the concatenated active slots of a run of blocks:
-    gain products (:meth:`radio.RadioConstants.uav_gains`) and flight
-    energies and times (:class:`energy.FlightPlan`).  Yields per pass its
-    gains, plan and transmit powers, lone arrays over its UAV columns,
-    and ``(index into sols, first column)`` of each of its solutions.
-    Every value is computed elementwise from the same operands as for a
-    lone solution, so batching does not change a bit.
+    Solutions sharing one ``genes`` array form one block, computed over the
+    largest of their UAV counts.  Each pass is one numpy pass over the
+    active slots of a run of blocks, gathered from their ``genes`` in one
+    concatenation: gain products (:meth:`radio.RadioConstants.uav_gains`)
+    and flight energies and times (:class:`energy.FlightPlan`).  Yields per
+    pass its gains, plan and transmit powers, lone arrays over its UAV
+    columns, and ``(index into sols, first column)`` of each of its
+    solutions.  Every value is computed elementwise from the same operands
+    as for a lone solution, so batching does not change a bit.
     """
     rc = cfg.radio_constants
-    blocks: dict[tuple[int, ...], list[int]] = {}  # block_key -> solution indices
+    blocks: dict[int, list[int]] = {}  # id of the shared genes -> solution indices
     for i, sol in enumerate(sols):
-        blocks.setdefault(block_key(sol), []).append(i)
+        blocks.setdefault(id(sol.genes), []).append(i)
     members = list(blocks.values())
     widths = [max(sols[i].n_active for i in block) for block in members]
 
@@ -285,23 +263,21 @@ def _stage_one(sols: list[Solution], cfg: ScenarioConfig):
         while stop < len(members) and cols + widths[stop] <= max_cols:
             cols += widths[stop]
             stop += 1
-        chunk = [(sols[members[b][0]], widths[b]) for b in range(start, stop)]
-        xyz = np.column_stack(
-            [np.concatenate([getattr(s, axis)[:n] for s, n in chunk]) for axis in "xyz"]
+        chunk = list(zip(members[start:stop], widths[start:stop]))
+        # (5, cols): the x, y, z, p and v of every column
+        axes = np.concatenate(
+            [sols[block[0]].genes.reshape(5, -1)[:, :n] for block, n in chunk], axis=1
         )
-        plan = energy_mod.FlightPlan(
-            dest_xyz=xyz,
-            speed_m_s=np.concatenate([s.v[:n] for s, n in chunk]),
-            origin_xyz=cfg.origin_xyz,
-        )
+        xyz = axes[:3].T.copy()  # C-ordered (cols, 3), as a lone solution's positions
+        tx_w = axes[3]
+        plan = energy_mod.FlightPlan(dest_xyz=xyz, speed_m_s=axes[4], origin_xyz=cfg.origin_xyz)
         plan.flight_energies(cfg.energy)
         plan.flight_times()
-        tx_w = np.concatenate([s.p[:n] for s, n in chunk])
         placed = []
         offset = 0
-        for b in range(start, stop):
-            placed += [(i, offset) for i in members[b]]
-            offset += widths[b]
+        for block, n in chunk:
+            placed += [(i, offset) for i in block]
+            offset += n
         yield rc.uav_gains(xyz, tx_w), plan, tx_w, placed
         start = stop
 

@@ -48,12 +48,6 @@ class RunConfig:
         return self.pm if self.pm is not None else 1.0 / len(cfg.gene_bounds[0])
 
 
-@dataclass
-class SolverResult:
-    final_front: list[Individual]
-    seed: int
-
-
 def random_search_operator(cfg: ScenarioConfig, rng: np.random.Generator):
     """Fresh discrete part: UAV count, pair assignment and channel vectors."""
     return encoding.random_discrete(cfg, rng)
@@ -73,7 +67,7 @@ def probabilistic_learning_operator(
     part is regenerated; between the thresholds it is kept; above
     ``sigma2`` the UAV count, assignment and channels are copied from
     ``best`` (the count comes along so the assignment stays in domain).
-    The result shares ``sol``'s continuous arrays and owns its discrete ones.
+    The result shares ``sol``'s ``genes`` and owns its discrete arrays.
     """
     r = rng.random()
     if r < sigma1:
@@ -116,18 +110,17 @@ def _evaluate(sols: list[Solution], cfg: ScenarioConfig) -> list[Individual]:
 def _repaired(sols: list[Solution], cfg: ScenarioConfig, rng: np.random.Generator) -> list[Solution]:
     """``encoding.repair_continuous`` over ``sols``, in order.
 
-    A solution sharing its continuous arrays with an earlier one found in
-    bounds (a Q' sibling) is in bounds too and skips the check; an
-    out-of-bounds block is repaired for each solution, with its own draws.
+    A solution sharing its ``genes`` with an earlier one found in bounds (a
+    Q' sibling) is in bounds too and skips the check; out-of-bounds shared
+    ``genes`` are repaired for each solution, with its own draws.
     """
-    in_bounds: set[tuple[int, ...]] = set()
+    in_bounds: set[int] = set()  # ids of genes found in bounds
     out = []
     for sol in sols:
-        key = encoding.block_key(sol)
-        if key not in in_bounds:
+        if id(sol.genes) not in in_bounds:
             fixed = encoding.repair_continuous(sol, cfg, rng)
             if fixed is sol:
-                in_bounds.add(key)
+                in_bounds.add(id(sol.genes))
             sol = fixed
         out.append(sol)
     return out
@@ -157,7 +150,7 @@ def _continuous_offspring(
     # Each side is stacked on its own: one stack of all parents, indexed
     # per side, kept about 0.3 MB more resident over a dozen s1-fdu trials.
     P1, P2 = (
-        np.array([parents[i].genome.continuous_vector() for i in idx.tolist()])
+        np.array([parents[i].genome.genes for i in idx.tolist()])
         for idx in (first, second)
     )
     bred = moea.variation(P1, P2, lower, upper, rc.eta_c, rc.pc, rc.eta_m, pm, rng)
@@ -165,7 +158,7 @@ def _continuous_offspring(
     for idx, rows in zip((first, second), bred):
         for parent_idx, vec in zip(idx.tolist(), rows):
             parent = parents[parent_idx].genome
-            children[parent_idx] = Solution.from_parts(
+            children[parent_idx] = Solution(
                 vec.copy(),
                 parent.n_active,
                 parent.assign.copy(),
@@ -205,8 +198,8 @@ def _moea(
     rc: RunConfig,
     discrete: Callable[[list[Individual], list[Solution], np.random.Generator], list[Solution]],
     select: Callable[[list[Individual], np.random.Generator], list[Individual]],
-) -> SolverResult:
-    """The generational loop of nsga3fdu, nsga3 and nsga2.
+) -> list[Individual]:
+    """The generational loop of nsga3fdu, nsga3 and nsga2; returns the final front.
 
     SBX and polynomial mutation breed one child per parent, then
     ``discrete(parents, children, rng)`` turns the children into offspring
@@ -221,7 +214,7 @@ def _moea(
         children = discrete(population, _continuous_offspring(population, cfg, rc, rng), rng)
         offspring = _evaluate(_repaired(children, cfg, rng), cfg)
         population = select(population + offspring, rng)
-    return SolverResult(final_front=_first_front(population), seed=rc.seed)
+    return _first_front(population)
 
 
 def _nsga3_selection(rc: RunConfig):
@@ -234,14 +227,14 @@ def _plain_discrete(cfg: ScenarioConfig, rc: RunConfig):
     return lambda parents, children, rng: _mutate_discrete_plain(children, cfg, pm, rng)
 
 
-def nsga3fdu(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
+def nsga3fdu(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
     """Flexible-dimension NSGA-III with discrete regeneration and count walk.
 
     Each generation breeds two offspring sets from the parents: one whose
     discrete part is updated by the probabilistic learning operator, and
     one whose UAV count is stepped and whose assignment/channels are
     regenerated, then selects survivors from the three-way merge.  A Q
-    child and its Q' sibling share their continuous arrays, so stage one
+    child and its Q' sibling share their ``genes``, so stage one
     of evaluation computes their geometry once.
     """
 
@@ -268,12 +261,12 @@ def nsga3fdu(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
     return _moea(cfg, rc, learn_and_walk, _nsga3_selection(rc))
 
 
-def nsga3_plain(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
+def nsga3_plain(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
     """Conventional NSGA-III loop with naive discrete resampling."""
     return _moea(cfg, rc, _plain_discrete(cfg, rc), _nsga3_selection(rc))
 
 
-def nsga2(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
+def nsga2(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
     """Conventional NSGA-II loop with naive discrete resampling."""
     return _moea(
         cfg, rc, _plain_discrete(cfg, rc), lambda merged, rng: moea.crowding_select(merged, rc.pop)
@@ -282,7 +275,7 @@ def nsga2(cfg: ScenarioConfig, rc: RunConfig) -> SolverResult:
 
 def weighted_sum_ga(
     cfg: ScenarioConfig, rc: RunConfig, weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> SolverResult:
+) -> list[Individual]:
     """Single-objective generational GA on a normalized weighted sum.
 
     Each objective is divided by the magnitude the uniform-deployment
@@ -318,7 +311,7 @@ def weighted_sum_ga(
             best = gen_best
         else:
             population[int(np.argmax([scalar(i) for i in population]))] = best
-    return SolverResult(final_front=[best], seed=rc.seed)
+    return [best]
 
 
 def ud_baseline(cfg: ScenarioConfig, rng: np.random.Generator) -> Individual:

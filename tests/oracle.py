@@ -4,8 +4,9 @@ Everything here but :func:`lone_objectives` is written directly from the
 model definitions with plain loops over explicit interferer sets, favoring
 obviousness over speed, and shares no code with ``skyrelay``.
 :func:`a2g_gains`, :func:`classic_fronts`, :func:`sbx`,
-:func:`poly_mutation` and :func:`nsga3_niching` are earlier versions of
-``skyrelay`` kernels, kept as bit-for-bit references for the faster ones.
+:func:`poly_mutation`, :func:`nsga3_niching` and :func:`repair_continuous`
+are earlier versions of ``skyrelay`` kernels, kept as bit-for-bit
+references for the faster ones.
 :func:`lone_objectives` is the earlier per-solution scoring, built from
 ``skyrelay``'s lone-placement entry points.
 """
@@ -285,6 +286,24 @@ def poly_mutation(x, lower, upper, eta_m, pm, rng):
             val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** (eta_m + 1.0)
             deltaq = 1.0 - val**mut_pow
         out[i] = min(max(out[i] + deltaq * span, lo), hi)
+    return out
+
+
+def repair_continuous(sol, cfg, rng):
+    """Out-of-bounds continuous genes resampled one axis at a time, each
+    axis's bounds from the scenario: a copy of ``sol`` with one draw per
+    axis that has a bad gene."""
+    out = sol.copy()
+    for arr, lo, hi in (
+        (out.x, cfg.l_min_m, cfg.l_max_m),
+        (out.y, cfg.l_min_m, cfg.l_max_m),
+        (out.z, cfg.z_min_m, cfg.z_max_m),
+        (out.p, cfg.p_min_w, cfg.p_max_w),
+        (out.v, cfg.v_min_m_s, cfg.v_max_m_s),
+    ):
+        bad = (arr < lo) | (arr > hi) | ~np.isfinite(arr)
+        if bad.any():
+            arr[bad] = lo + rng.random(int(bad.sum())) * (hi - lo)
     return out
 
 

@@ -51,8 +51,7 @@ def test_random_solution_in_domain(scale_one):
     lower, upper = continuous_bounds(scale_one)
     for _ in range(50):
         sol = random_solution(scale_one, rng)
-        vec = sol.continuous_vector()
-        assert np.all(vec >= lower) and np.all(vec <= upper)
+        assert np.all(sol.genes >= lower) and np.all(sol.genes <= upper)
         encoding.check_discrete(sol, scale_one)
         assert scale_one.n_min <= sol.n_active <= scale_one.n_max
         assert len(sol.x) == scale_one.n_max
@@ -87,12 +86,22 @@ def test_random_channels_read_the_generator_as_two_draws(n_max, k, pending_half)
 
 
 def test_continuous_vector_roundtrip(scale_one):
+    # x..v are read/write views of their continuous_bounds segments of genes;
+    # with_discrete shares genes, copy does not
     rng = np.random.default_rng(2)
     sol = random_solution(scale_one, rng)
-    vec = sol.continuous_vector()
+    n = scale_one.n_max
+    for k, axis in enumerate("xyzpv"):
+        assert np.array_equal(getattr(sol, axis), sol.genes[k * n : (k + 1) * n])
+        getattr(sol, axis)[n - 1] = -1.0 - k
+        assert sol.genes[(k + 1) * n - 1] == -1.0 - k
     other = random_solution(scale_one, rng)
-    other = Solution.from_parts(vec, other.n_active, other.assign, other.uav_chan, other.direct_chan)
-    assert np.array_equal(other.continuous_vector(), vec)
+    sibling = sol.with_discrete(other.n_active, other.assign, other.uav_chan, other.direct_chan)
+    assert sibling.genes is sol.genes
+    twin = sol.copy()
+    assert twin.genes is not sol.genes and np.array_equal(twin.genes, sol.genes)
+    twin.v[0] += 1.0
+    assert twin.genes[4 * n] != sol.genes[4 * n]
 
 
 def test_check_discrete_rejects(scale_one):
@@ -152,11 +161,69 @@ def test_repair_continuous(scale_one):
     sol.p[2] = np.nan
     fixed = repair_continuous(sol, scale_one, rng)
     lower, upper = continuous_bounds(scale_one)
-    vec = fixed.continuous_vector()
-    assert np.all(vec >= lower) and np.all(vec <= upper)
+    assert np.all(fixed.genes >= lower) and np.all(fixed.genes <= upper)
     # untouched genes are preserved exactly
     assert fixed.y[0] == sol.y[0]
     assert fixed.v[3] == sol.v[3]
+
+
+def _out_of_bounds(kind, lower, upper, rng):
+    """Values of one kind of bad gene for genes with bounds ``lower``, ``upper``."""
+    if kind == "below":
+        return np.where(rng.random(len(lower)) < 0.5, np.nextafter(lower, -np.inf), lower - 50.0)
+    if kind == "above":
+        return np.where(rng.random(len(upper)) < 0.5, np.nextafter(upper, np.inf), upper * 3.0)
+    return np.full(len(lower), kind)
+
+
+def _bad_genomes(cfg, rng):
+    """Random solutions with no bad gene, each kind of bad gene in each
+    segment, mixed kinds across segments, and every gene bad."""
+    lower, upper = cfg.gene_bounds
+    n = cfg.n_max
+    kinds = (np.nan, np.inf, -np.inf, "below", "above")
+    sols = [random_solution(cfg, rng) for _ in range(5)]
+    for k in range(5):
+        for kind in kinds:
+            sol = random_solution(cfg, rng)
+            idx = k * n + rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            sol.genes[idx] = _out_of_bounds(kind, lower[idx], upper[idx], rng)
+            sols.append(sol)
+    for share in (0.3, 1.0):
+        for _ in range(10):
+            sol = random_solution(cfg, rng)
+            bad = rng.random(5 * n) < share
+            which = rng.integers(0, len(kinds), 5 * n)
+            for j, kind in enumerate(kinds):
+                idx = np.flatnonzero(bad & (which == j))
+                sol.genes[idx] = _out_of_bounds(kind, lower[idx], upper[idx], rng)
+            sols.append(sol)
+    return sols
+
+
+@pytest.mark.parametrize("scale", ["one", "two"])
+@pytest.mark.parametrize("pending_half", [False, True])
+def test_repair_matches_per_axis_reference_bytewise(scale, pending_half, scale_one, scale_two):
+    # one masked resample over genes draws what the per-axis loop drew, in
+    # its order, and leaves the generator where the loop left it
+    cfg = scale_one if scale == "one" else scale_two
+    lower, upper = cfg.gene_bounds
+    sols = _bad_genomes(cfg, np.random.default_rng(22))
+    assert all(((s.genes >= lower) & (s.genes <= upper)).all() for s in sols[:5])
+    assert all(not ((s.genes >= lower) & (s.genes <= upper)).any() for s in sols[-10:])
+    for seed, sol in enumerate(sols):
+        before = sol.genes.tobytes()
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending_half:
+            fast.integers(0, 7), slow.integers(0, 7)
+        assert fast.bit_generator.state["has_uint32"] == pending_half
+        got = repair_continuous(sol, cfg, fast)
+        want = oracle.repair_continuous(sol, cfg, slow)
+        assert got.genes.tobytes() == want.genes.tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert sol.genes.tobytes() == before
+        assert (got is sol) == (seed < 5)
+        assert got.n_active == sol.n_active and np.array_equal(got.assign, sol.assign)
 
 
 def test_evaluate_components(scale_one):
@@ -270,7 +337,7 @@ def test_evaluate_rejects_assignment_outside_active_slots(scale_one):
 
 
 def _mixed_batch(cfg, rng):
-    """Every UAV count, Q/Q' pairs sharing continuous arrays (each order of
+    """Every UAV count, Q/Q' pairs sharing genes (each order of
     their counts, apart in the batch) and more columns than one chunk."""
 
     def walked(sol, n):
@@ -440,7 +507,7 @@ def test_scale_two_rate_groups_split_at_the_budget(scale_two, monkeypatch):
 
 def test_scale_two_generation_is_one_pass_and_one_rate_batch_per_count(scale_two, monkeypatch):
     # a pop-20 nsga3fdu generation: 20 Q children, each with a Q' sibling
-    # sharing its continuous arrays, one UAV count away
+    # sharing its genes, one UAV count away
     cfg = scale_two
     rng = np.random.default_rng(18)
     q_set = [random_solution(cfg, rng) for _ in range(20)]
@@ -479,15 +546,11 @@ def _slot_permuted(sol, rng):
     perm = rng.permutation(n)
     order = np.concatenate([perm, np.arange(n, len(sol.x))])
     return Solution(
-        x=sol.x[order],
-        y=sol.y[order],
-        z=sol.z[order],
-        p=sol.p[order],
-        v=sol.v[order],
-        assign=np.argsort(perm)[sol.assign],
-        uav_chan=sol.uav_chan[order],
-        direct_chan=sol.direct_chan.copy(),
-        n_active=n,
+        sol.genes.reshape(5, -1)[:, order].ravel(),
+        n,
+        np.argsort(perm)[sol.assign],
+        sol.uav_chan[order],
+        sol.direct_chan.copy(),
     )
 
 

@@ -79,7 +79,7 @@ def test_probabilistic_learning_branches():
     for _ in range(300):
         out = probabilistic_learning_operator(sol, best, 0.2, 0.6, cfg, rng)
         # continuous genes never move
-        assert np.array_equal(out.continuous_vector(), sol.continuous_vector())
+        assert np.array_equal(out.genes, sol.genes)
         d = _discrete_tuple(out)
         if d == _discrete_tuple(sol):
             seen["keep"] += 1
@@ -107,7 +107,7 @@ def test_uav_number_adjust():
 
 
 def _siblings(cfg, rng):
-    """A solution and a Q' sibling sharing its continuous arrays."""
+    """A solution and a Q' sibling sharing its genes."""
     q = encoding.random_solution(cfg, rng)
     return q, q.with_discrete(*encoding.random_discrete(cfg, rng))
 
@@ -148,9 +148,9 @@ def test_repair_fixes_out_of_bounds_siblings_one_by_one(monkeypatch):
     calls = _counting_repair(monkeypatch)
     out = solvers._repaired([q, qp], cfg, np.random.default_rng(9))
     assert calls == [q, qp]
-    assert out[0] is not q and out[1] is not qp and out[0].x is not out[1].x
+    assert out[0] is not q and out[1] is not qp and out[0].genes is not out[1].genes
     for got, want, sol in zip(out, expected, (q, qp)):
-        assert np.array_equal(got.continuous_vector(), want.continuous_vector())
+        assert np.array_equal(got.genes, want.genes)
         assert got.n_active == sol.n_active and np.array_equal(got.assign, sol.assign)
     # each sibling drew its own replacement genes
     assert out[0].x[0] != out[1].x[0]
@@ -171,19 +171,18 @@ def test_solver_front_valid_and_deterministic(solver):
     cfg = small_cfg()
     r1 = solver(cfg, SMALL_RC)
     r2 = solver(cfg, SMALL_RC)
-    _check_front(r1.final_front, cfg)
-    assert [i.key() for i in r1.final_front] == [i.key() for i in r2.final_front]
-    assert r1.seed == SMALL_RC.seed
+    _check_front(r1, cfg)
+    assert [i.key() for i in r1] == [i.key() for i in r2]
     diff = solver(cfg, RunConfig(pop=8, max_iters=4, seed=4))
-    assert [i.key() for i in diff.final_front] != [i.key() for i in r1.final_front]
+    assert [i.key() for i in diff] != [i.key() for i in r1]
 
 
 def test_zero_iters_returns_initial_front():
     cfg = small_cfg()
     rc = RunConfig(pop=8, max_iters=0, seed=5)
-    res = nsga3fdu(cfg, rc)
-    _check_front(res.final_front, cfg)
-    assert len(res.final_front) <= rc.pop
+    front = nsga3fdu(cfg, rc)
+    _check_front(front, cfg)
+    assert len(front) <= rc.pop
 
 
 @pytest.mark.parametrize(
@@ -218,11 +217,11 @@ def test_operators_looked_up_at_call_time(solver, per_gen, monkeypatch):
 
 def test_weighted_sum_ga():
     cfg = small_cfg()
-    res = weighted_sum_ga(cfg, SMALL_RC)
-    assert len(res.final_front) == 1
-    _check_front(res.final_front, cfg)
+    front = weighted_sum_ga(cfg, SMALL_RC)
+    assert len(front) == 1
+    _check_front(front, cfg)
     again = weighted_sum_ga(cfg, SMALL_RC)
-    assert res.final_front[0].key() == again.final_front[0].key()
+    assert front[0].key() == again[0].key()
     with pytest.raises(ValueError):
         weighted_sum_ga(cfg, SMALL_RC, weights=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
@@ -235,7 +234,7 @@ def test_weighted_sum_ga_elitist():
     longer = weighted_sum_ga(cfg, RunConfig(pop=8, max_iters=10, seed=7))
     # elitism keeps the weighted score non-increasing, so with positive
     # weights the zero-generation pick can never dominate the longer run's
-    assert not dominates(short.final_front[0].key(), longer.final_front[0].key())
+    assert not dominates(short[0].key(), longer[0].key())
 
 
 def test_ud_baseline_layout(scale_one, scale_two):
@@ -304,7 +303,7 @@ GOLDEN_SOLVERS = {
 @pytest.mark.parametrize(("algo", "scale"), sorted(GOLDEN_FRONTS))
 def test_fixed_seed_fronts_unchanged(algo, scale, scale_one, scale_two):
     cfg = scale_one if scale == "one" else scale_two
-    front = GOLDEN_SOLVERS[algo](cfg, RunConfig(pop=8, max_iters=10, seed=5)).final_front
+    front = GOLDEN_SOLVERS[algo](cfg, RunConfig(pop=8, max_iters=10, seed=5))
     digest = hashlib.sha256()
     for member in front:
         digest.update(struct.pack("<3d", *member.objectives.as_tuple()))
