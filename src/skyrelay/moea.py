@@ -8,8 +8,8 @@ selection, simulated binary crossover and polynomial mutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -18,11 +18,10 @@ from .encoding import ObjectiveVector, Solution
 
 @dataclass(eq=False)
 class Individual:
-    """A genome with its evaluated objectives and non-domination rank."""
+    """A genome with its evaluated objectives."""
 
     genome: Solution
     objectives: ObjectiveVector
-    rank: Optional[int] = None
 
     def key(self) -> tuple[float, float, float]:
         return self.objectives.as_tuple()
@@ -31,31 +30,25 @@ class Individual:
 @dataclass(frozen=True)
 class ReferencePointSet:
     points: np.ndarray  # (R, n_obj), rows on the unit simplex
-    divisions: int
 
 
-def _as_tuple(obj) -> Sequence[float]:
-    return obj.as_tuple() if hasattr(obj, "as_tuple") else tuple(obj)
+def dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
+    """True iff objective tuple ``a`` is no worse in every objective and
+    better in one.
 
-
-def dominates(a, b) -> bool:
-    """True iff ``a`` is no worse in every objective and better in one.
-
-    Plain Pareto dominance on the objective tuples; constraint violation
-    is ignored here and weighed only by :func:`fast_non_dominated_sort`.
+    Plain Pareto dominance; constraint violation is ignored here and
+    weighed only by :func:`fast_non_dominated_sort`.
     """
-    ta, tb = _as_tuple(a), _as_tuple(b)
-    return all(x <= y for x, y in zip(ta, tb)) and any(x < y for x, y in zip(ta, tb))
+    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
 def fast_non_dominated_sort(
     pop: list[Individual], limit: Optional[int] = None
 ) -> list[list[Individual]]:
-    """Partition into fronts; also stamps 1-based ranks on the individuals.
+    """Partition into fronts, best first.
 
     With a ``limit``, peeling stops once the fronts hold at least ``limit``
-    members: the fronts returned are the first ones of the full sort, and
-    members left unpeeled get rank None.
+    members: the fronts returned are the first ones of the full sort.
 
     Uses constrained domination (Deb et al., IEEE TEVC 2002): ``a``
     dominates ``b`` when its ``objectives.violation`` is smaller, or when
@@ -81,17 +74,12 @@ def fast_non_dominated_sort(
     remaining = dom.sum(axis=0)  # dominators of each member not yet peeled
     current = np.flatnonzero(remaining == 0)
     fronts: list[list[Individual]] = []
-    rank, peeled = 1, 0
+    peeled = 0
     while current.size:
-        front = [pop[i] for i in current.tolist()]
-        for ind in front:
-            ind.rank = rank
-        fronts.append(front)
+        fronts.append([pop[i] for i in current.tolist()])
         remaining[current] = -1  # peeled; no later front dominates them
-        peeled += len(front)
+        peeled += len(current)
         if limit is not None and peeled >= limit:
-            for i in np.flatnonzero(remaining >= 0).tolist():
-                pop[i].rank = None
             break
         beaten = dom[current]
         remaining -= beaten.sum(axis=0)
@@ -100,7 +88,6 @@ def fast_non_dominated_sort(
             last = len(current) - 1 - beaten[::-1, nxt].argmax(axis=0)
             nxt = nxt[np.argsort(last, kind="stable")]
         current = nxt
-        rank += 1
     return fronts
 
 
@@ -119,7 +106,7 @@ def das_dennis_points(n_obj: int, divisions: int) -> ReferencePointSet:
             recurse(prefix + [c], remaining - c, depth + 1)
 
     recurse([], divisions, 0)
-    return ReferencePointSet(points=np.array(points), divisions=divisions)
+    return ReferencePointSet(points=np.array(points))
 
 
 def _normalize(keys: np.ndarray) -> np.ndarray:
@@ -280,47 +267,33 @@ def variation(
     gene mutates if its gate is below ``pm`` and its span is nonzero, and
     then reads a spread uniform.
 
-    A scan over the gates finds the uniform each crossing or mutated gene
-    reads; :func:`sbx` and :func:`poly_mutation` then run once each over
-    all of them.  The uniforms come in ``rng.random`` blocks no longer than
-    the reads still certain to come, so none is drawn that the loop would
-    not read, and ``rng`` ends in the loop's state, a pending 32-bit half
-    included.
+    ``rng`` is read as one block of the most uniforms the loop could read,
+    with every gene crossing and mutating.  A scan over its gates finds the
+    uniform each crossing or mutated gene reads; :func:`sbx` and
+    :func:`poly_mutation` then run once each over all of them.  ``rng`` is
+    then rewound and re-reads only the uniforms the loop reads, so it ends
+    in the loop's state, a pending 32-bit half included.
     """
     H, D = P1.shape
     crossable = (~(np.abs(P1 - P2) < 1e-14)).tolist()  # a NaN gene crosses
     movable = (~(upper - lower <= 0.0)).tolist()
-    # The uniforms, and per uniform a byte that is 1 where it is below a gene
-    # gate's threshold; sized for the most the loop can read, with every
-    # gene crossing and mutating.
-    most = H * (1 + 7 * D)
-    stream = np.empty(most)
-    below_half, below_pm = bytearray(most), bytearray(most)
-    flags = [(np.frombuffer(b, dtype=bool), t) for b, t in ((below_half, 0.5), (below_pm, pm))]
-    due = H * (1 + 2 * D)  # reads certain to come, counted from the start
-    drawn = pos = 0
+    saved = rng.bit_generator.state
+    stream = rng.random(H * (1 + 7 * D))
+    below_half, below_pm = (stream < 0.5).tobytes(), (stream < pm).tobytes()
+    pos = 0
     crossed: list[int] = []  # h * D + i of each crossing gene
     mutated: list[int] = []  # (c * H + h) * D + i of each mutated gene of child c
     cross_at: list[int] = []  # stream position of each one's spread uniform
     mutate_at: list[int] = []
 
-    def fill() -> None:
-        nonlocal drawn
-        block = rng.random(out=stream[drawn:due])
-        for below, threshold in flags:
-            np.less(block, threshold, out=below[drawn:due])
-        drawn = due
-
     def gates(
-        below: bytearray, eligible: list[bool], extra: int, base: int, hits: list[int], at: list[int]
+        below: bytes, eligible: list[bool], extra: int, base: int, hits: list[int], at: list[int]
     ) -> None:
         """Read D gates; an eligible gene whose gate is below reads ``extra`` more."""
-        nonlocal pos, due
+        nonlocal pos
         i = 0
         while i < D:
             end = pos + D - i
-            if end > drawn:
-                fill()
             k = below.find(1, pos, end)
             if k < 0:
                 pos = end
@@ -328,23 +301,19 @@ def variation(
             i += k - pos
             pos = k + 1
             if eligible[i]:
-                due += extra
-                if pos + extra > drawn:
-                    fill()
                 hits.append(base + i)
                 at.append(pos)
                 pos += extra
             i += 1
 
     for h in range(H):
-        if pos == drawn:
-            fill()
         pos += 1
         if stream[pos - 1] < pc:
-            due += D
             gates(below_half, crossable[h], 2, h * D, crossed, cross_at)
         gates(below_pm, movable, 1, h * D, mutated, mutate_at)
         gates(below_pm, movable, 1, (H + h) * D, mutated, mutate_at)
+    rng.bit_generator.state = saved
+    rng.random(out=stream[:pos])
 
     children = np.stack((P1, P2))
     pairs = children.reshape(2, H * D)

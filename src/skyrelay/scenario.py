@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -302,13 +303,35 @@ def _pair_to_dict(pair: DevicePair) -> dict:
     }
 
 
+def _real(value, name: str):
+    """``value`` if it is an int or float within the finite doubles (a bool is
+    neither; NaN and the infinities are not within), else ScenarioError."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return value
+    raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    """``value`` if it is an int (a bool is not), else ScenarioError."""
+    if type(value) is int:
+        return value
+    raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
+# The ScenarioConfig fields in the file's "counts" and "bounds" sections.
+_COUNTS = ("n_min", "n_max", "u_channels")
+_BOUNDS = (
+    "l_min_m", "l_max_m", "z_min_m", "z_max_m", "v_min_m_s", "v_max_m_s", "p_min_w", "p_max_w", "t_th_s"
+)
+
+
 def _pair_from_dict(d: dict) -> DevicePair:
     return DevicePair(
         kind=d["kind"],
-        swd_xy=tuple(d["swd_xy"]),
-        dwd_xy=tuple(d["dwd_xy"]),
-        tx_power_w=d["tx_power_w"],
-        activity=d.get("activity", 1.0),
+        swd_xy=tuple(_real(v, "pair.swd_xy") for v in d["swd_xy"]),
+        dwd_xy=tuple(_real(v, "pair.dwd_xy") for v in d["dwd_xy"]),
+        tx_power_w=_real(d["tx_power_w"], "pair.tx_power_w"),
+        activity=_real(d.get("activity", 1.0), "pair.activity"),
     )
 
 
@@ -316,22 +339,8 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
     """Write a scenario to a JSON file (schema version 1)."""
     doc = {
         "schema": SCHEMA_VERSION,
-        "bounds": {
-            "l_min_m": cfg.l_min_m,
-            "l_max_m": cfg.l_max_m,
-            "z_min_m": cfg.z_min_m,
-            "z_max_m": cfg.z_max_m,
-            "v_min_m_s": cfg.v_min_m_s,
-            "v_max_m_s": cfg.v_max_m_s,
-            "p_min_w": cfg.p_min_w,
-            "p_max_w": cfg.p_max_w,
-            "t_th_s": cfg.t_th_s,
-        },
-        "counts": {
-            "n_min": cfg.n_min,
-            "n_max": cfg.n_max,
-            "u_channels": cfg.u_channels,
-        },
+        "bounds": {k: getattr(cfg, k) for k in _BOUNDS},
+        "counts": {k: getattr(cfg, k) for k in _COUNTS},
         "channel": asdict(cfg.channel),
         "energy": asdict(cfg.energy),
         "relayed_pairs": [_pair_to_dict(p) for p in cfg.relayed_pairs],
@@ -343,36 +352,35 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Load a scenario JSON file, validating the schema and all invariants."""
+    """Load a scenario JSON file, validating the schema and all invariants.
+
+    Counts must be integers and every other numeric field a finite number.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path} must hold a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {doc.get('schema')!r}")
     try:
-        bounds = doc["bounds"]
-        counts = doc["counts"]
+        counts = {k: _count(doc["counts"][k], f"counts.{k}") for k in _COUNTS}
+        bounds = {k: _real(doc["bounds"][k], f"bounds.{k}") for k in _BOUNDS}
+        channel = {k: _real(v, f"channel.{k}") for k, v in doc["channel"].items()}
+        energy = {
+            k: v if k == "induced_v4" else _real(v, f"energy.{k}") for k, v in doc["energy"].items()
+        }
         cfg = ScenarioConfig(
             relayed_pairs=tuple(_pair_from_dict(p) for p in doc["relayed_pairs"]),
             direct_pairs=tuple(_pair_from_dict(p) for p in doc["direct_pairs"]),
-            n_min=counts["n_min"],
-            n_max=counts["n_max"],
-            u_channels=counts["u_channels"],
-            l_min_m=bounds["l_min_m"],
-            l_max_m=bounds["l_max_m"],
-            z_min_m=bounds["z_min_m"],
-            z_max_m=bounds["z_max_m"],
-            v_min_m_s=bounds["v_min_m_s"],
-            v_max_m_s=bounds["v_max_m_s"],
-            p_min_w=bounds["p_min_w"],
-            p_max_w=bounds["p_max_w"],
-            t_th_s=bounds["t_th_s"],
-            channel=ChannelParams(**doc["channel"]),
-            energy=EnergyParams(**doc["energy"]),
+            channel=ChannelParams(**channel),
+            energy=EnergyParams(**energy),
+            **counts,
+            **bounds,
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
     cfg.validate()
     return cfg

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -18,6 +18,15 @@ from . import encoding, moea
 from .encoding import Solution
 from .moea import Individual
 from .scenario import ScenarioConfig
+
+
+# Fixed operator settings (Jain & Deb, IEEE TEVC 2014): crossover
+# probability, the SBX and mutation distribution indices, and the reference
+# lattice's divisions per axis (21 points for 3 objectives).  The mutation
+# rate is 1 / the continuous dimension of the scenario.
+PC = 1.0
+ETA_C = ETA_M = 20.0
+REF_DIVISIONS = 5
 
 
 @dataclass(frozen=True)
@@ -28,11 +37,6 @@ class RunConfig:
     sigma2: float = 0.6
     p_in: float = 0.5
     seed: int = 0
-    pc: float = 1.0
-    eta_c: float = 20.0
-    eta_m: float = 20.0
-    pm: Optional[float] = None  # None -> 1 / continuous dimension
-    ref_divisions: int = 5
 
     def validate(self) -> None:
         if not 0.0 <= self.sigma1 <= self.sigma2 <= 1.0:
@@ -43,14 +47,6 @@ class RunConfig:
             raise ValueError("pop must be even and >= 4")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-
-    def mutation_rate(self, cfg: ScenarioConfig) -> float:
-        return self.pm if self.pm is not None else 1.0 / len(cfg.gene_bounds[0])
-
-
-def random_search_operator(cfg: ScenarioConfig, rng: np.random.Generator):
-    """Fresh discrete part: UAV count, pair assignment and channel vectors."""
-    return encoding.random_discrete(cfg, rng)
 
 
 def probabilistic_learning_operator(
@@ -131,10 +127,7 @@ def _init_population(cfg: ScenarioConfig, rc: RunConfig, rng: np.random.Generato
 
 
 def _continuous_offspring(
-    parents: list[Individual],
-    cfg: ScenarioConfig,
-    rc: RunConfig,
-    rng: np.random.Generator,
+    parents: list[Individual], cfg: ScenarioConfig, rng: np.random.Generator
 ) -> list[Solution]:
     """SBX + polynomial mutation on the padded continuous parts.
 
@@ -144,7 +137,6 @@ def _continuous_offspring(
     the discrete part of the parent it descends from.
     """
     lower, upper = cfg.gene_bounds
-    pm = rc.mutation_rate(cfg)
     order = rng.permutation(len(parents))
     first, second = order[0::2], order[1::2]
     # Each side is stacked on its own: one stack of all parents, indexed
@@ -153,7 +145,7 @@ def _continuous_offspring(
         np.array([parents[i].genome.genes for i in idx.tolist()])
         for idx in (first, second)
     )
-    bred = moea.variation(P1, P2, lower, upper, rc.eta_c, rc.pc, rc.eta_m, pm, rng)
+    bred = moea.variation(P1, P2, lower, upper, ETA_C, PC, ETA_M, 1.0 / len(lower), rng)
     children: list[Solution] = [None] * len(parents)  # type: ignore[list-item]
     for idx, rows in zip((first, second), bred):
         for parent_idx, vec in zip(idx.tolist(), rows):
@@ -211,19 +203,19 @@ def _moea(
     rng = np.random.default_rng(rc.seed)
     population = _init_population(cfg, rc, rng)
     for _ in range(rc.max_iters):
-        children = discrete(population, _continuous_offspring(population, cfg, rc, rng), rng)
+        children = discrete(population, _continuous_offspring(population, cfg, rng), rng)
         offspring = _evaluate(_repaired(children, cfg, rng), cfg)
         population = select(population + offspring, rng)
     return _first_front(population)
 
 
 def _nsga3_selection(rc: RunConfig):
-    refs = moea.das_dennis_points(3, rc.ref_divisions)
+    refs = moea.das_dennis_points(3, REF_DIVISIONS)
     return lambda merged, rng: moea.nsga3_select(merged, rc.pop, refs, rng)
 
 
-def _plain_discrete(cfg: ScenarioConfig, rc: RunConfig):
-    pm = rc.mutation_rate(cfg)
+def _plain_discrete(cfg: ScenarioConfig):
+    pm = 1.0 / len(cfg.gene_bounds[0])
     return lambda parents, children, rng: _mutate_discrete_plain(children, cfg, pm, rng)
 
 
@@ -263,36 +255,32 @@ def nsga3fdu(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
 
 def nsga3_plain(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
     """Conventional NSGA-III loop with naive discrete resampling."""
-    return _moea(cfg, rc, _plain_discrete(cfg, rc), _nsga3_selection(rc))
+    return _moea(cfg, rc, _plain_discrete(cfg), _nsga3_selection(rc))
 
 
 def nsga2(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
     """Conventional NSGA-II loop with naive discrete resampling."""
     return _moea(
-        cfg, rc, _plain_discrete(cfg, rc), lambda merged, rng: moea.crowding_select(merged, rc.pop)
+        cfg, rc, _plain_discrete(cfg), lambda merged, rng: moea.crowding_select(merged, rc.pop)
     )
 
 
-def weighted_sum_ga(
-    cfg: ScenarioConfig, rc: RunConfig, weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> list[Individual]:
-    """Single-objective generational GA on a normalized weighted sum.
+def weighted_sum_ga(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
+    """Single-objective generational GA on an equally weighted normalized sum.
 
     Each objective is divided by the magnitude the uniform-deployment
-    baseline achieves before weighting, so the capacity term cannot swamp
+    baseline achieves before summing, so the capacity term cannot swamp
     the other two.  Elitist: the best individual ever evaluated survives
     every generation and is returned as a singleton front.
     """
     rc.validate()
-    if any(w < 0 for w in weights) or not any(weights):
-        raise ValueError("weights must be non-negative and not all zero")
     rng = np.random.default_rng(rc.seed)
-    pm = rc.mutation_rate(cfg)
+    pm = 1.0 / len(cfg.gene_bounds[0])
     anchor = ud_baseline(cfg, np.random.default_rng(rc.seed)).objectives
     norm = np.array(
         [max(abs(anchor.neg_f1), 1.0), max(abs(anchor.f2), 1.0), max(abs(anchor.f3), 1.0)]
     )
-    w = np.asarray(weights, dtype=float)
+    w = np.ones(3)
 
     def scalar(ind: Individual) -> float:
         return float(np.dot(w, np.asarray(ind.key()) / norm))
@@ -304,7 +292,7 @@ def weighted_sum_ga(
         for _ in range(rc.pop):
             a, b = population[int(rng.integers(rc.pop))], population[int(rng.integers(rc.pop))]
             parents.append(a if scalar(a) <= scalar(b) else b)
-        q_set = _mutate_discrete_plain(_continuous_offspring(parents, cfg, rc, rng), cfg, pm, rng)
+        q_set = _mutate_discrete_plain(_continuous_offspring(parents, cfg, rng), cfg, pm, rng)
         population = _evaluate(_repaired(q_set, cfg, rng), cfg)
         gen_best = min(population, key=scalar)
         if scalar(gen_best) < scalar(best):

@@ -1,3 +1,8 @@
+import copy
+import math
+from functools import reduce
+from operator import getitem
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,38 @@ def pytest_terminal_summary(terminalreporter):
 
 from skyrelay.radio import Placement
 from skyrelay.scenario import DevicePair, ScenarioConfig, gen_scenario
+
+
+# (path to a field of a saved scenario document, an ill-typed or non-finite
+# value for it) pairs that load_scenario must reject
+BAD_SCENARIO_FIELDS = [
+    (("counts", "n_min"), "4"),
+    (("counts", "n_min"), True),
+    (("counts", "n_max"), 8.5),
+    (("bounds", "t_th_s"), "12"),
+    (("bounds", "t_th_s"), None),
+    (("bounds", "t_th_s"), math.nan),
+    (("bounds", "p_max_w"), math.inf),
+    (("bounds", "l_max_m"), 10**400),  # an int no double can hold
+    (("relayed_pairs", 0, "tx_power_w"), "0.01"),
+    (("relayed_pairs", 0, "tx_power_w"), None),
+    (("channel", "bandwidth_hz"), "1e6"),
+    (("channel", "bandwidth_hz"), None),
+    (("channel", "bandwidth_hz"), math.nan),
+    (("channel", "alpha"), math.nan),
+    (("energy", "uav_mass_kg"), math.inf),
+]
+
+
+def malformed_scenarios(doc: dict) -> list:
+    """A top-level list holding ``doc``, then a copy of ``doc`` per entry of
+    ``BAD_SCENARIO_FIELDS`` with that field set to that value."""
+    out: list = [[doc]]
+    for (*path, key), value in BAD_SCENARIO_FIELDS:
+        bad = copy.deepcopy(doc)
+        reduce(getitem, path, bad)[key] = value
+        out.append(bad)
+    return out
 
 
 def make_config(

@@ -199,7 +199,7 @@ def slow_fronts(keys) -> list[list[int]]:
 
 def classic_fronts(pop) -> list[list[int]]:
     """Constrained-domination fronts by the classic per-member peel (Deb et
-    al., IEEE TEVC 2002), as indices into ``pop``; stamps 1-based ``rank``.
+    al., IEEE TEVC 2002), as indices into ``pop``.
 
     Within a front, members appear in the order the peel releases them.
     """
@@ -213,10 +213,7 @@ def classic_fronts(pop) -> list[list[int]]:
     dom_count = [int(dom[:, i].sum()) for i in range(n)]
     fronts = []
     current = [i for i in range(n) if dom_count[i] == 0]
-    rank = 1
     while current:
-        for i in current:
-            pop[i].rank = rank
         fronts.append(current)
         nxt = []
         for i in current:
@@ -225,7 +222,6 @@ def classic_fronts(pop) -> list[list[int]]:
                 if dom_count[j] == 0:
                     nxt.append(j)
         current = nxt
-        rank += 1
     return fronts
 
 

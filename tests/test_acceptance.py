@@ -258,7 +258,7 @@ def test_criterion_08_mechanism_invariants(scale1_cfg):
     # random discrete parts: domain constraints on every draw
     counts = np.zeros(9, dtype=int)
     for _ in range(10_000):
-        n, assign, uav_chan, direct_chan = solvers.random_search_operator(scale1_cfg, rng)
+        n, assign, uav_chan, direct_chan = encoding.random_discrete(scale1_cfg, rng)
         assert 4 <= n <= 8
         counts[n] += 1
         assert assign.min() >= 0 and assign.max() < n and len(assign) == 10

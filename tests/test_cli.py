@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import malformed_scenarios
 from skyrelay.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -75,6 +76,9 @@ def test_usage_errors(workspace, tmp_path):
     doc["relayed_pairs"][0]["dwd_xy"] = doc["direct_pairs"][0]["swd_xy"]  # zero ground distance
     bad.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(bad), "--algo", "ud", "--out", str(tmp_path)]) == EXIT_USAGE
+    for doc in malformed_scenarios(json.loads(scenario.read_text())):
+        bad.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(bad), "--algo", "ud", "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["pick", "--in", str(outdir), "--strategy", "minuav", "--trial", "99"]) == EXIT_USAGE
     assert main(["stats", "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
     text = (outdir / "reports.json").read_text()

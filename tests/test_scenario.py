@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conftest import malformed_scenarios
 from skyrelay.scenario import (
     ChannelParams,
     ScenarioError,
@@ -95,6 +96,15 @@ def test_load_rejects_missing_key(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError):
         load_scenario(path)
+
+
+def test_load_rejects_ill_typed_and_non_finite_fields(tmp_path):
+    path = tmp_path / "scenario.json"
+    save_scenario(gen_scenario("one", 0), path)
+    for bad in malformed_scenarios(json.loads(path.read_text())):
+        path.write_text(json.dumps(bad))  # NaN and Infinity as JSON extensions
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
 
 
 def test_load_rejects_invariant_violation(tmp_path):
