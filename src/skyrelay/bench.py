@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import encoding, solvers
+from . import encoding, energy, moea, solvers
 from .encoding import ObjectiveVector
 from .moea import Individual
 from .scenario import ScenarioConfig
@@ -140,6 +140,21 @@ def aggregate_stats(reports: list[TrialReport]) -> RunStats:
         by_strategy=by_strategy,
         feasibility_rate=feasible / len(individuals),
     )
+
+
+def front_hypervolume(front: list[Individual], cfg: ScenarioConfig) -> float:
+    """Hypervolume of the feasible members of ``front`` against a reference
+    point taken from the scenario alone, so that solvers compare: 0 bps,
+    ``n_max + 1`` UAVs, and the energy of the costliest flight to a top
+    corner of the deployment box at any of 101 speeds in [v_min, v_max]."""
+    worst = max(
+        energy.flight_energy((x, y, cfg.z_max_m), v, cfg.origin_xyz, cfg.energy)
+        for x in (cfg.l_min_m, cfg.l_max_m)
+        for y in (cfg.l_min_m, cfg.l_max_m)
+        for v in np.linspace(cfg.v_min_m_s, cfg.v_max_m_s, 101).tolist()
+    )
+    points = [ind.key() for ind in front if ind.objectives.feasible]
+    return moea.hypervolume(np.array(points), (0.0, cfg.n_max + 1.0, worst))
 
 
 def _fmt(x: float) -> str:

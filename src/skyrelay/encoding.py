@@ -157,22 +157,19 @@ def random_solution(cfg: ScenarioConfig, rng: np.random.Generator) -> Solution:
     return Solution(rng.uniform(lower, upper), *random_discrete(cfg, rng))
 
 
-def repair_continuous(sol: Solution, cfg: ScenarioConfig, rng: np.random.Generator) -> Solution:
-    """Resample any out-of-bounds continuous gene uniformly within its bounds.
+def repair_continuous(
+    genes: np.ndarray, cfg: ScenarioConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """``genes`` (rows laid out as ``Solution.genes``) with every out-of-bounds
+    or NaN gene resampled uniformly within its bounds.
 
-    Returns ``sol`` itself when every gene is in bounds (variation clips, so
-    that is the usual case), else a repaired copy.  The replacements are
-    one draw, taken in the order of ``genes``.
+    ``rng`` is read as one block of uniforms the shape of ``genes``, whatever
+    their values; a bad gene takes the uniform at its own position.
     """
     lower, upper = cfg.gene_bounds
-    ok = (sol.genes >= lower) & (sol.genes <= upper)  # NaN fails both tests
-    if ok.all():
-        return sol
-    out = sol.copy()
-    bad = ~ok
-    lo, hi = lower[bad], upper[bad]
-    out.genes[bad] = lo + rng.random(int(bad.sum())) * (hi - lo)
-    return out
+    u = rng.random(genes.shape)
+    ok = (genes >= lower) & (genes <= upper)  # NaN fails both tests
+    return np.where(ok, genes, lower + u * (upper - lower))
 
 
 def _check_counts(sol: Solution, cfg: ScenarioConfig) -> None:

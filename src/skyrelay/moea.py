@@ -91,6 +91,30 @@ def fast_non_dominated_sort(
     return fronts
 
 
+def hypervolume(points: np.ndarray, ref) -> float:
+    """Exact volume that the minimised 3-objective ``points`` dominate below ``ref``.
+
+    A dimension sweep over the third objective (Fonseca, Paquete &
+    López-Ibáñez, CEC 2006): between one point's level and the next, the
+    dominated slab is the 2-D staircase area of the points up to that level
+    times the gap.  Points not strictly below ``ref`` in every objective
+    add nothing.
+    """
+    ref = np.asarray(ref, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = pts[(pts < ref).all(axis=1)]
+    pts = pts[np.argsort(pts[:, 2], kind="stable")]
+    levels = np.append(pts[:, 2], ref[2])
+    volume = 0.0
+    for k in np.flatnonzero(np.diff(levels) > 0.0):
+        xy = pts[: k + 1, :2]
+        xy = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
+        low = np.minimum.accumulate(xy[:, 1])  # the staircase, by increasing x
+        steps = np.append(ref[1], low[:-1]) - low
+        volume += float(((ref[0] - xy[:, 0]) * steps).sum()) * (levels[k + 1] - levels[k])
+    return volume
+
+
 def das_dennis_points(n_obj: int, divisions: int) -> ReferencePointSet:
     """Uniform simplex lattice with the given number of divisions per axis."""
     if divisions < 1:
@@ -259,75 +283,33 @@ def variation(
     """SBX, then polynomial mutation of both children, for each parent pair.
 
     Row h of the (H, D) arrays ``P1`` and ``P2`` is a pair; row h of each
-    result is its child.  ``rng`` is read in the order of a per-gene loop
-    over the pairs.  A pair reads one gate and crosses if it is below ``pc``.
-    A crossing pair reads a gate per gene; a gene crosses if its gate is
-    below 0.5 and its parents differ by at least 1e-14, and then reads a
-    spread and a swap uniform.  Then each child reads a gate per gene; a
-    gene mutates if its gate is below ``pm`` and its span is nonzero, and
-    then reads a spread uniform.
-
-    ``rng`` is read as one block of the most uniforms the loop could read,
-    with every gene crossing and mutating.  A scan over its gates finds the
-    uniform each crossing or mutated gene reads; :func:`sbx` and
-    :func:`poly_mutation` then run once each over all of them.  ``rng`` is
-    then rewound and re-reads only the uniforms the loop reads, so it ends
-    in the loop's state, a pending 32-bit half included.
+    result is its child.  ``rng`` is read once, as an (H, 1 + 7 D) block of
+    uniforms whose columns are, per pair: a pair gate, D gene gates, D
+    spreads and D swaps for crossover, then D gates of each child and D
+    spreads of each child for mutation.  Every uniform is drawn whether or
+    not it is read.  A gene crosses if its pair gate is below ``pc``, its
+    gene gate below 0.5 and its parents differ by at least 1e-14; a child's
+    gene mutates if its gate is below ``pm`` and its span is nonzero.
+    :func:`sbx` and :func:`poly_mutation` then run once each over every
+    crossing or mutated gene.
     """
     H, D = P1.shape
-    crossable = (~(np.abs(P1 - P2) < 1e-14)).tolist()  # a NaN gene crosses
-    movable = (~(upper - lower <= 0.0)).tolist()
-    saved = rng.bit_generator.state
-    stream = rng.random(H * (1 + 7 * D))
-    below_half, below_pm = (stream < 0.5).tobytes(), (stream < pm).tobytes()
-    pos = 0
-    crossed: list[int] = []  # h * D + i of each crossing gene
-    mutated: list[int] = []  # (c * H + h) * D + i of each mutated gene of child c
-    cross_at: list[int] = []  # stream position of each one's spread uniform
-    mutate_at: list[int] = []
-
-    def gates(
-        below: bytes, eligible: list[bool], extra: int, base: int, hits: list[int], at: list[int]
-    ) -> None:
-        """Read D gates; an eligible gene whose gate is below reads ``extra`` more."""
-        nonlocal pos
-        i = 0
-        while i < D:
-            end = pos + D - i
-            k = below.find(1, pos, end)
-            if k < 0:
-                pos = end
-                return
-            i += k - pos
-            pos = k + 1
-            if eligible[i]:
-                hits.append(base + i)
-                at.append(pos)
-                pos += extra
-            i += 1
-
-    for h in range(H):
-        pos += 1
-        if stream[pos - 1] < pc:
-            gates(below_half, crossable[h], 2, h * D, crossed, cross_at)
-        gates(below_pm, movable, 1, h * D, mutated, mutate_at)
-        gates(below_pm, movable, 1, (H + h) * D, mutated, mutate_at)
-    rng.bit_generator.state = saved
-    rng.random(out=stream[:pos])
-
+    u = rng.random((H, 1 + 7 * D))
+    gate, spread, swap = (u[:, 1 + k * D : 1 + (k + 1) * D] for k in range(3))
+    cross = (u[:, :1] < pc) & (gate < 0.5) & ~(np.abs(P1 - P2) < 1e-14)  # a NaN gene crosses
+    gene = np.nonzero(cross)[1]
     children = np.stack((P1, P2))
-    pairs = children.reshape(2, H * D)
-    genes = children.reshape(-1)
-    at = np.array(crossed, dtype=np.intp)
-    u = np.array(cross_at, dtype=np.intp)
-    gene = at % D
-    pairs[0, at], pairs[1, at] = sbx(
-        pairs[0, at], pairs[1, at], lower[gene], upper[gene], stream[u], stream[u + 1] < 0.5, eta_c
+    children[0][cross], children[1][cross] = sbx(
+        P1[cross], P2[cross], lower[gene], upper[gene], spread[cross], swap[cross] < 0.5, eta_c
     )
-    at = np.array(mutated, dtype=np.intp)
-    gene = at % D
-    genes[at] = poly_mutation(
-        genes[at], lower[gene], upper[gene], stream[np.array(mutate_at, dtype=np.intp)], eta_m
+    # (2, H, D): child c reads the c-th run of D of its pair's gates and spreads
+    gates, spreads = (
+        u[:, 1 + k * D : 1 + (k + 2) * D].reshape(H, 2, D).swapaxes(0, 1) for k in (3, 5)
+    )
+    mutate = (gates < pm) & ~(upper - lower <= 0.0)
+    gene = np.nonzero(mutate)[2]
+    children[mutate] = poly_mutation(
+        children[mutate], lower[gene], upper[gene], spreads[mutate], eta_m
     )
     return children[0], children[1]
 

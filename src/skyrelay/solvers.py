@@ -49,43 +49,58 @@ class RunConfig:
             raise ValueError("max_iters must be >= 0")
 
 
+def _fresh_discrete(n: np.ndarray, cfg: ScenarioConfig, rng: np.random.Generator):
+    """Uniform assignments bounded by the counts ``n`` and uniform channels
+    of the UAV slots and direct pairs: one (P, M) and one (P, n_max + K) draw."""
+    assign = rng.integers(0, n[:, None], size=(len(n), cfg.m_pairs))
+    return assign, rng.integers(0, cfg.u_channels, size=(len(n), cfg.n_max + cfg.k_pairs))
+
+
 def probabilistic_learning_operator(
-    sol: Solution,
-    best: Solution,
+    children: list[Solution],
+    front: list[Solution],
     sigma1: float,
     sigma2: float,
     cfg: ScenarioConfig,
     rng: np.random.Generator,
-) -> Solution:
-    """Update the discrete part: restart, keep, or copy from a front member.
+) -> list[Solution]:
+    """Update each child's discrete part: restart, keep, or copy from a front member.
 
-    One uniform draw picks the branch: below ``sigma1`` the whole discrete
-    part is regenerated; between the thresholds it is kept; above
-    ``sigma2`` the UAV count, assignment and channels are copied from
-    ``best`` (the count comes along so the assignment stays in domain).
-    The result shares ``sol``'s ``genes`` and owns its discrete arrays.
+    A uniform per child picks its branch: below ``sigma1`` the whole
+    discrete part is regenerated; between the thresholds it is kept; above
+    ``sigma2`` the UAV count, assignment and channels are taken from a
+    member of ``front`` drawn for the child (the count comes along so the
+    assignment stays in domain).  The draws are one block each, for every
+    child whatever its branch: the branch uniforms, the donor indices, and
+    a fresh discrete part (counts, assignments, channels) that the restarts
+    take.  Each result shares its child's ``genes``.
     """
-    r = rng.random()
-    if r < sigma1:
-        return sol.with_discrete(*encoding.random_discrete(cfg, rng))
-    src = sol if r < sigma2 else best
-    return sol.with_discrete(
-        src.n_active, src.assign.copy(), src.uav_chan.copy(), src.direct_chan.copy()
-    )
+    P, N = len(children), cfg.n_max
+    branch = rng.random(P)
+    donor = rng.integers(len(front), size=P)
+    counts = rng.integers(cfg.n_min, cfg.n_max + 1, size=P)
+    assign, channels = _fresh_discrete(counts, cfg, rng)
+    out = []
+    for i, sol in enumerate(children):
+        if branch[i] < sigma1:
+            sol = sol.with_discrete(int(counts[i]), assign[i], channels[i, :N], channels[i, N:])
+        elif branch[i] >= sigma2:
+            src = front[donor[i]]
+            sol = sol.with_discrete(src.n_active, src.assign, src.uav_chan, src.direct_chan)
+        out.append(sol)
+    return out
 
 
-def uav_number_adjust(n: int, cfg: ScenarioConfig, p_in: float, rng: np.random.Generator) -> int:
-    """Step the UAV count by one: reverse walk at the bounds, else a
-    biased random walk (up with probability ``p_in``)."""
-    if not cfg.n_min <= n <= cfg.n_max:
-        raise ValueError(f"n={n} outside [{cfg.n_min}, {cfg.n_max}]")
-    if cfg.n_min == cfg.n_max:
-        return n
-    if n == cfg.n_max:
-        return cfg.n_max - 1
-    if n == cfg.n_min:
-        return cfg.n_min + 1
-    return n + 1 if rng.random() < p_in else n - 1
+def uav_number_adjust(
+    n: np.ndarray, cfg: ScenarioConfig, p_in: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Step each UAV count by one: reverse walk at the bounds, else a
+    biased random walk (up with probability ``p_in``).  Draws one uniform
+    per count, at the bounds too."""
+    if ((n < cfg.n_min) | (n > cfg.n_max)).any():
+        raise ValueError(f"UAV counts outside [{cfg.n_min}, {cfg.n_max}]")
+    up = (rng.random(len(n)) < p_in) & (n < cfg.n_max) | (n == cfg.n_min)
+    return n if cfg.n_min == cfg.n_max else np.where(up, n + 1, n - 1)
 
 
 def _evaluate(sols: list[Solution], cfg: ScenarioConfig) -> list[Individual]:
@@ -103,25 +118,6 @@ def _evaluate(sols: list[Solution], cfg: ScenarioConfig) -> list[Individual]:
     return scored
 
 
-def _repaired(sols: list[Solution], cfg: ScenarioConfig, rng: np.random.Generator) -> list[Solution]:
-    """``encoding.repair_continuous`` over ``sols``, in order.
-
-    A solution sharing its ``genes`` with an earlier one found in bounds (a
-    Q' sibling) is in bounds too and skips the check; out-of-bounds shared
-    ``genes`` are repaired for each solution, with its own draws.
-    """
-    in_bounds: set[int] = set()  # ids of genes found in bounds
-    out = []
-    for sol in sols:
-        if id(sol.genes) not in in_bounds:
-            fixed = encoding.repair_continuous(sol, cfg, rng)
-            if fixed is sol:
-                in_bounds.add(id(sol.genes))
-            sol = fixed
-        out.append(sol)
-    return out
-
-
 def _init_population(cfg: ScenarioConfig, rc: RunConfig, rng: np.random.Generator) -> list[Individual]:
     return _evaluate([encoding.random_solution(cfg, rng) for _ in range(rc.pop)], cfg)
 
@@ -129,12 +125,15 @@ def _init_population(cfg: ScenarioConfig, rc: RunConfig, rng: np.random.Generato
 def _continuous_offspring(
     parents: list[Individual], cfg: ScenarioConfig, rng: np.random.Generator
 ) -> list[Solution]:
-    """SBX + polynomial mutation on the padded continuous parts.
+    """SBX + polynomial mutation on the padded continuous parts, then repair.
 
-    Parents are paired by a random permutation and bred in one
-    :func:`moea.variation` call.  Each child owns a copy of its row, so a
-    survivor does not keep the generation's offspring array alive, and keeps
-    the discrete part of the parent it descends from.
+    Parents are paired by a random permutation, bred in one
+    :func:`moea.variation` call and repaired in one
+    ``encoding.repair_continuous`` call, so Q and Q' siblings later share a
+    repaired row.  Each child owns a copy of its row, so a survivor does not
+    keep the generation's offspring array alive, and shares the discrete
+    arrays of the parent it descends from; the discrete steps replace those
+    arrays rather than write into them.
     """
     lower, upper = cfg.gene_bounds
     order = rng.permutation(len(parents))
@@ -146,38 +145,43 @@ def _continuous_offspring(
         for idx in (first, second)
     )
     bred = moea.variation(P1, P2, lower, upper, ETA_C, PC, ETA_M, 1.0 / len(lower), rng)
+    rows = encoding.repair_continuous(np.concatenate(bred), cfg, rng)
     children: list[Solution] = [None] * len(parents)  # type: ignore[list-item]
-    for idx, rows in zip((first, second), bred):
-        for parent_idx, vec in zip(idx.tolist(), rows):
-            parent = parents[parent_idx].genome
-            children[parent_idx] = Solution(
-                vec.copy(),
-                parent.n_active,
-                parent.assign.copy(),
-                parent.uav_chan.copy(),
-                parent.direct_chan.copy(),
-            )
+    for parent_idx, vec in zip(np.concatenate((first, second)).tolist(), rows):
+        parent = parents[parent_idx].genome
+        children[parent_idx] = Solution(
+            vec.copy(), parent.n_active, parent.assign, parent.uav_chan, parent.direct_chan
+        )
     return children
 
 
 def _mutate_discrete_plain(
     children: list[Solution], cfg: ScenarioConfig, pm: float, rng: np.random.Generator
 ) -> list[Solution]:
-    """Baseline discrete variation: per-gene uniform resampling at rate pm, in place."""
-    for sol in children:
-        if rng.random() < pm:
-            sol.n_active = int(rng.integers(cfg.n_min, cfg.n_max + 1))
-        for i in range(len(sol.assign)):
-            if rng.random() < pm:
-                sol.assign[i] = rng.integers(0, sol.n_active)
-        # resampling the count can strand assignments beyond the new range
-        bad = sol.assign >= sol.n_active
-        if bad.any():
-            sol.assign[bad] = rng.integers(0, sol.n_active, size=int(bad.sum()))
-        for arr in (sol.uav_chan, sol.direct_chan):
-            for i in range(len(arr)):
-                if rng.random() < pm:
-                    arr[i] = rng.integers(0, cfg.u_channels)
+    """Baseline discrete variation: each discrete gene (the count, each
+    assignment, each channel) is resampled uniformly with probability
+    ``pm``, and so are assignments that a new count strands.  Each child
+    gets new discrete arrays.
+
+    Gates, fresh counts, fresh assignments bounded by the new counts and
+    fresh channels are one block each, drawn for every gene.
+    """
+    P, M, N = len(children), cfg.m_pairs, cfg.n_max
+    gates = rng.random((P, 1 + M + N + cfg.k_pairs)) < pm
+    counts = rng.integers(cfg.n_min, cfg.n_max + 1, size=P)
+    n = np.where(gates[:, 0], counts, [sol.n_active for sol in children])
+    fresh_assign, fresh_channels = _fresh_discrete(n, cfg, rng)
+    assign = np.array([sol.assign for sol in children])
+    assign = np.where(gates[:, 1 : 1 + M] | (assign >= n[:, None]), fresh_assign, assign)
+    channels = np.hstack(
+        [np.array([getattr(sol, name) for sol in children]) for name in ("uav_chan", "direct_chan")]
+    )
+    channels = np.where(gates[:, 1 + M :], fresh_channels, channels)
+    # copies, not row views: a survivor holding a view keeps its generation's
+    # whole blocks alive (about 0.2 MB more peak RSS over 40 s1-wide trials)
+    for sol, count, a, c in zip(children, n.tolist(), assign, channels):
+        sol.n_active, sol.assign = count, a.copy()
+        sol.uav_chan, sol.direct_chan = c[:N].copy(), c[N:].copy()
     return children
 
 
@@ -204,8 +208,7 @@ def _moea(
     population = _init_population(cfg, rc, rng)
     for _ in range(rc.max_iters):
         children = discrete(population, _continuous_offspring(population, cfg, rng), rng)
-        offspring = _evaluate(_repaired(children, cfg, rng), cfg)
-        population = select(population + offspring, rng)
+        population = select(population + _evaluate(children, cfg), rng)
     return _first_front(population)
 
 
@@ -219,6 +222,24 @@ def _plain_discrete(cfg: ScenarioConfig):
     return lambda parents, children, rng: _mutate_discrete_plain(children, cfg, pm, rng)
 
 
+def _fdu_discrete(cfg: ScenarioConfig, rc: RunConfig):
+    """nsga3fdu's discrete step: Q from the probabilistic learning operator,
+    then Q' from the count walk with fresh assignments and channels."""
+
+    def learn_and_walk(parents, children, rng):
+        front1 = [ind.genome for ind in _first_front(parents)]
+        q_set = probabilistic_learning_operator(children, front1, rc.sigma1, rc.sigma2, cfg, rng)
+        counts = uav_number_adjust(np.array([sol.n_active for sol in children]), cfg, rc.p_in, rng)
+        assign, channels = _fresh_discrete(counts, cfg, rng)
+        qp_set = [
+            sol.with_discrete(n, a, c[: cfg.n_max], c[cfg.n_max :])
+            for sol, n, a, c in zip(children, counts.tolist(), assign, channels)
+        ]
+        return q_set + qp_set
+
+    return learn_and_walk
+
+
 def nsga3fdu(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
     """Flexible-dimension NSGA-III with discrete regeneration and count walk.
 
@@ -229,28 +250,7 @@ def nsga3fdu(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
     child and its Q' sibling share their ``genes``, so stage one
     of evaluation computes their geometry once.
     """
-
-    def learn_and_walk(parents, children, rng):
-        front1 = _first_front(parents)
-        q_set = [
-            probabilistic_learning_operator(
-                sol, front1[int(rng.integers(len(front1)))].genome, rc.sigma1, rc.sigma2, cfg, rng
-            )
-            for sol in children
-        ]
-        qp_set = []
-        for sol in children:
-            new_n = uav_number_adjust(sol.n_active, cfg, rc.p_in, rng)
-            qp_set.append(
-                sol.with_discrete(
-                    new_n,
-                    rng.integers(0, new_n, size=cfg.m_pairs),
-                    *encoding.random_channels(cfg, rng),
-                )
-            )
-        return q_set + qp_set
-
-    return _moea(cfg, rc, learn_and_walk, _nsga3_selection(rc))
+    return _moea(cfg, rc, _fdu_discrete(cfg, rc), _nsga3_selection(rc))
 
 
 def nsga3_plain(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
@@ -293,7 +293,7 @@ def weighted_sum_ga(cfg: ScenarioConfig, rc: RunConfig) -> list[Individual]:
             a, b = population[int(rng.integers(rc.pop))], population[int(rng.integers(rc.pop))]
             parents.append(a if scalar(a) <= scalar(b) else b)
         q_set = _mutate_discrete_plain(_continuous_offspring(parents, cfg, rng), cfg, pm, rng)
-        population = _evaluate(_repaired(q_set, cfg, rng), cfg)
+        population = _evaluate(q_set, cfg)
         gen_best = min(population, key=scalar)
         if scalar(gen_best) < scalar(best):
             best = gen_best

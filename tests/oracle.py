@@ -8,7 +8,8 @@ obviousness over speed, and shares no code with ``skyrelay``.
 are earlier versions of ``skyrelay`` kernels, kept as bit-for-bit
 references for the faster ones.
 :func:`lone_objectives` is the earlier per-solution scoring, built from
-``skyrelay``'s lone-placement entry points.
+``skyrelay``'s lone-placement entry points.  :func:`hypervolume` counts
+grid cells, the slow check of the dimension sweep.
 """
 
 from __future__ import annotations
@@ -285,22 +286,43 @@ def poly_mutation(x, lower, upper, eta_m, pm, rng):
     return out
 
 
-def repair_continuous(sol, cfg, rng):
+def repair_continuous(genes, cfg, rng):
     """Out-of-bounds continuous genes resampled one axis at a time, each
-    axis's bounds from the scenario: a copy of ``sol`` with one draw per
-    axis that has a bad gene."""
-    out = sol.copy()
-    for arr, lo, hi in (
-        (out.x, cfg.l_min_m, cfg.l_max_m),
-        (out.y, cfg.l_min_m, cfg.l_max_m),
-        (out.z, cfg.z_min_m, cfg.z_max_m),
-        (out.p, cfg.p_min_w, cfg.p_max_w),
-        (out.v, cfg.v_min_m_s, cfg.v_max_m_s),
+    axis's bounds from the scenario: a copy of ``genes`` (rows laid out
+    x|y|z|p|v) in which each bad gene takes the uniform at its own position
+    of one block the shape of ``genes``."""
+    out = np.array(genes, dtype=float)
+    u = rng.random(out.shape)
+    n = cfg.n_max
+    for k, (lo, hi) in enumerate(
+        (
+            (cfg.l_min_m, cfg.l_max_m),
+            (cfg.l_min_m, cfg.l_max_m),
+            (cfg.z_min_m, cfg.z_max_m),
+            (cfg.p_min_w, cfg.p_max_w),
+            (cfg.v_min_m_s, cfg.v_max_m_s),
+        )
     ):
+        arr, draws = out[..., k * n : (k + 1) * n], u[..., k * n : (k + 1) * n]
         bad = (arr < lo) | (arr > hi) | ~np.isfinite(arr)
-        if bad.any():
-            arr[bad] = lo + rng.random(int(bad.sum())) * (hi - lo)
+        arr[bad] = lo + draws[bad] * (hi - lo)
     return out
+
+
+def hypervolume(points, ref) -> float:
+    """Volume dominated by minimised ``points`` below ``ref``, counted cell by
+    cell over the grid of the points' distinct coordinates and ``ref``: a
+    cell counts when some point is at or below its lower corner in every
+    objective."""
+    pts = [p for p in map(tuple, points) if all(a < r for a, r in zip(p, ref))]
+    axes = [sorted({p[j] for p in pts} | {ref[j]}) for j in range(3)]
+    volume = 0.0
+    for x0, x1 in zip(axes[0], axes[0][1:]):
+        for y0, y1 in zip(axes[1], axes[1][1:]):
+            for z0, z1 in zip(axes[2], axes[2][1:]):
+                if any(p[0] <= x0 and p[1] <= y0 and p[2] <= z0 for p in pts):
+                    volume += (x1 - x0) * (y1 - y0) * (z1 - z0)
+    return volume
 
 
 def nsga3_niching(n_chosen, niche_of, distance, n_refs, target, rng) -> list[int]:

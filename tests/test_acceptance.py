@@ -229,12 +229,11 @@ def test_criterion_08_mechanism_invariants(scale1_cfg):
             mutant.uav_chan[-pad:] = rng.integers(0, scale1_cfg.u_channels, pad)
         assert encoding.evaluate(mutant, scale1_cfg) == ov
     # count walk: exhaustive boundary behavior plus interior step frequency
-    for _ in range(200):
-        assert solvers.uav_number_adjust(8, scale1_cfg, 0.5, rng) == 7
-        assert solvers.uav_number_adjust(4, scale1_cfg, 0.5, rng) == 5
-        for n in (5, 6, 7):
-            assert abs(solvers.uav_number_adjust(n, scale1_cfg, 0.5, rng) - n) == 1
-    ups = sum(solvers.uav_number_adjust(6, scale1_cfg, 0.5, rng) == 7 for _ in range(10_000))
+    walk = lambda n, size: solvers.uav_number_adjust(np.full(size, n), scale1_cfg, 0.5, rng)
+    assert (walk(8, 200) == 7).all() and (walk(4, 200) == 5).all()
+    for n in (5, 6, 7):
+        assert (np.abs(walk(n, 200) - n) == 1).all()
+    ups = int((walk(6, 10_000) == 7).sum())
     assert abs(ups / 10_000 - 0.5) <= 0.02
     # learning-operator branch frequencies vs (sigma1, sigma2-sigma1, 1-sigma2)
     sol = encoding.random_solution(scale1_cfg, rng)
@@ -243,8 +242,9 @@ def test_criterion_08_mechanism_invariants(scale1_cfg):
     while key(best) == key(sol):
         best = encoding.random_solution(scale1_cfg, rng)
     seen = {"restart": 0, "keep": 0, "copy": 0}
-    for _ in range(10_000):
-        out = solvers.probabilistic_learning_operator(sol, best, 0.2, 0.6, scale1_cfg, rng)
+    for out in solvers.probabilistic_learning_operator(
+        [sol] * 10_000, [best], 0.2, 0.6, scale1_cfg, rng
+    ):
         d = key(out)
         if d == key(sol):
             seen["keep"] += 1

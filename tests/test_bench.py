@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from skyrelay import bench
+from skyrelay import bench, energy
 from skyrelay.bench import (
     ALGORITHMS,
     aggregate_stats,
@@ -14,6 +14,8 @@ from skyrelay.bench import (
     run_trials,
     write_stats_csv,
 )
+from skyrelay.encoding import ObjectiveVector
+from skyrelay.moea import Individual
 from skyrelay.solvers import STRATEGIES, RunConfig, pick_strategy
 
 
@@ -120,3 +122,22 @@ def test_run_one_rejects_unknown_algorithm(bench_cfg):
     # run_trials checks the name first; the worker entry checks it too
     with pytest.raises(ValueError, match="unknown algorithm 'simulated-annealing'"):
         bench._run_one((bench_cfg, RC, "simulated-annealing"))
+
+
+def test_front_hypervolume_reference_and_feasible_members(scale_one):
+    cfg = scale_one
+    sides = (cfg.l_min_m, cfg.l_max_m)
+    corners = [(x, y, cfg.z_max_m) for x in sides for y in sides]
+    speeds = np.linspace(cfg.v_min_m_s, cfg.v_max_m_s, 101)
+    worst = max(
+        energy.flight_energy(c, v, cfg.origin_xyz, cfg.energy) for c in corners for v in speeds
+    )
+    # one feasible member spans a box to (0, n_max + 1, worst); an
+    # infeasible one adds nothing, however good its objectives read
+    front = [
+        Individual(None, ObjectiveVector(-2e6, 4.0, 100.0, True)),
+        Individual(None, ObjectiveVector(-9e9, 1.0, 1.0, False)),
+    ]
+    want = 2e6 * (cfg.n_max + 1.0 - 4.0) * (worst - 100.0)
+    assert bench.front_hypervolume(front, cfg) == pytest.approx(want, rel=1e-12)
+    assert bench.front_hypervolume(front[1:], cfg) == 0.0

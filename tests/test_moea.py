@@ -14,6 +14,7 @@ from skyrelay.moea import (
     das_dennis_points,
     dominates,
     fast_non_dominated_sort,
+    hypervolume,
     nsga3_select,
     variation,
 )
@@ -185,6 +186,30 @@ def test_selection_prefers_feasible_then_smaller_violation():
         assert picked == [0.25 * k for k in range(1, 11)]
 
 
+def test_hypervolume_examples():
+    ref = (4.0, 4.0, 4.0)
+    assert hypervolume(np.empty((0, 3)), ref) == 0.0
+    assert hypervolume([[1.0, 2.0, 3.0]], ref) == 3.0 * 2.0 * 1.0
+    # a dominated point and a point not below ref add nothing
+    assert hypervolume([[1.0, 2.0, 3.0], [2.0, 3.0, 3.5], [0.0, 0.0, 4.0]], ref) == 6.0
+    # two boxes overlapping in [2, 4] x [2, 4] x [1, 4]
+    assert hypervolume([[1.0, 2.0, 1.0], [2.0, 1.0, 0.0]], ref) == 18.0 + 24.0 - 12.0
+
+
+def test_hypervolume_matches_grid_count():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        n = int(rng.integers(1, 15))
+        if trial % 2:  # integer coordinates force ties and repeated levels
+            points = rng.integers(0, 6, (n, 3)).astype(float)
+            ref = (6.0, 6.0, 6.0)
+        else:
+            points = rng.uniform(-1e7, 0.0, (n, 3)) * (1.0, -1e-6, -1e-4)
+            ref = (0.0, 11.0, 1500.0)
+        want = oracle.hypervolume(points, ref)
+        assert hypervolume(points, ref) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_das_dennis_counts_and_simplex():
     for p in range(1, 11):
         refs = das_dennis_points(3, p)
@@ -328,9 +353,11 @@ def test_poly_mutation_pm_zero_identity():
     # with pm = 0 the children are the crossover's, whatever the gates read
     lower, upper = BOUNDS
     x, y = _reference_parents(7)
-    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
     got = variation(x[None], y[None], lower, upper, 20.0, 1.0, 20.0, 0.0, rng)
-    want = oracle.sbx(x, y, lower, upper, 20.0, 1.0, ref_rng)
+    block = twin.random(1 + 7 * len(x))
+    reads = Replay(_loop_reads(block, x, y, lower, upper, 1.0, 0.0))
+    want = oracle.sbx(x, y, lower, upper, 20.0, 1.0, reads)
     assert [c[0].tobytes() for c in got] == [c.tobytes() for c in want]
 
 
@@ -363,27 +390,66 @@ def _reference_pairs(seed, n_pairs, same):
 BIT_GENERATORS = (np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.MT19937)
 
 
+class Replay:
+    """Stand-in generator whose ``random()`` returns the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.read = 0
+
+    def random(self):
+        self.read += 1
+        return self.values[self.read - 1]
+
+
+def _loop_reads(row, x1, x2, lower, upper, pc, pm):
+    """Row ``row`` of ``variation``'s block in the order the per-gene loops
+    of one pair (``oracle.sbx``, then ``oracle.poly_mutation`` of each child)
+    read uniforms."""
+    D = len(x1)
+    gate, spread, swap = (row[1 + k * D : 1 + (k + 1) * D] for k in range(3))
+    mutation_gates, mutation_spreads = row[1 + 3 * D : 1 + 5 * D], row[1 + 5 * D :]
+    reads = [row[0]]
+    if row[0] < pc:
+        for i in range(D):
+            reads.append(gate[i])
+            if gate[i] < 0.5 and not abs(x1[i] - x2[i]) < 1e-14:
+                reads += [spread[i], swap[i]]
+    for j in range(2 * D):
+        reads.append(mutation_gates[j])
+        if mutation_gates[j] < pm and upper[j % D] - lower[j % D] > 0.0:
+            reads.append(mutation_spreads[j])
+    return reads
+
+
 def _check_against_per_pair_loop(p1, p2, eta, pc, pm, seed):
     """``variation`` against the per-gene loop, pair by pair: oracle SBX,
-    then oracle mutation of each child, under each numpy bit generator.
-    Equal bytes, equal generator state (by ``repr``: Philox's holds arrays)
-    and equal next draws; odd seeds first leave a pending 32-bit half in
-    the generators whose state keeps one."""
+    then oracle mutation of each child, fed the pair's row of the block a
+    twin generator draws, under each numpy bit generator.  Equal bytes,
+    every replayed uniform read, and the draw contract: the generator ends
+    where the twin's draw of H (1 + 7 D) uniforms leaves it, whatever the
+    gates read (equal state by ``repr``, as Philox's holds arrays, and
+    equal next draws).  Odd seeds first leave a pending 32-bit half in the
+    generators whose state keeps one."""
     lower, upper = ZERO_SPAN
+    H, D = p1.shape
     for bit_generator in BIT_GENERATORS:
-        rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        rng, twin = (np.random.Generator(bit_generator(seed)) for _ in range(2))
         if seed % 2:
             rng.integers(5)
-            ref_rng.integers(5)
+            twin.integers(5)
             assert rng.bit_generator.state.get("has_uint32", 1) == 1
         got = variation(p1, p2, lower, upper, eta, pc, eta, pm, rng)
+        block = twin.random(H * (1 + 7 * D)).reshape(H, -1)
         want = ([], [])
-        for x1, x2 in zip(p1, p2):
-            for out, child in zip(want, oracle.sbx(x1, x2, lower, upper, eta, pc, ref_rng)):
-                out.append(oracle.poly_mutation(child, lower, upper, eta, pm, ref_rng))
+        for x1, x2, row in zip(p1, p2, block):
+            reads = Replay(_loop_reads(row, x1, x2, lower, upper, pc, pm))
+            for out, child in zip(want, oracle.sbx(x1, x2, lower, upper, eta, pc, reads)):
+                out.append(oracle.poly_mutation(child, lower, upper, eta, pm, reads))
+            assert reads.read == len(reads.values)
         assert [c.tobytes() for c in got] == [np.array(c).tobytes() for c in want]
-        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
-        assert rng.integers(1 << 30, size=3).tolist() == ref_rng.integers(1 << 30, size=3).tolist()
+        assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+        assert rng.integers(1 << 30, size=3).tolist() == twin.integers(1 << 30, size=3).tolist()
 
 
 @pytest.mark.parametrize("pc", [0.0, 0.7, 1.0])
