@@ -4,14 +4,15 @@ All functions are pure.  Indices are 0-based throughout: ``assignment[m]``
 is the UAV index serving relayed pair ``m``, ``uav_channel[n]`` and
 ``direct_channel[k]`` are channel indices in ``0..U-1``.
 
-The per-link scalar operations spell out each formula term by term and are
-the reference surface; :func:`link_rates` is a vectorized equivalent used
-on the hot path (solver objective evaluation).  It rates a batch of B
-placements with one UAV count N in one call, as arrays with a leading
-batch axis; a lone placement is a batch of one.  Each batch slice adds in
-the order a lone placement's arrays do, so a placement's rates do not
-depend on its batch.  A batch holds a few (B, N, M) arrays, so callers
-bound B x N x M (``encoding.STAGE_ONE_GAINS``).
+The model is implemented once: :func:`link_terms` gives every relayed
+pair's uplink interference, SINRs and round-robin share, and
+:func:`link_rates` reduces them to rates.  ``tests/oracle.py`` spells out
+each formula term by term with plain loops and is the reference they are
+checked against.  Both take a batch of B placements with one UAV count N,
+as arrays with a leading batch axis; a lone placement is a batch of one.
+Each batch slice adds in the order a lone placement's arrays do, so a
+placement's terms do not depend on its batch.  A batch holds a few
+(B, N, M) arrays, so callers bound B x N x M (``encoding.STAGE_ONE_GAINS``).
 
 :meth:`RadioConstants.a2g_gains` evaluates the air-to-ground model
 (Al-Hourani et al. 2014) from every ground point to a whole stage-one
@@ -22,7 +23,6 @@ pass costs little memory and gives the same bits as a narrow one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +32,7 @@ from .scenario import ChannelParams, ScenarioConfig
 
 
 class RadioError(ValueError):
-    """Raised on degenerate geometry (coincident points) or bad indices."""
+    """Raised on bad index or channel arrays, or a non-positive power total."""
 
 
 @dataclass(eq=False)
@@ -84,35 +84,6 @@ class Placement:
         return self.uav_channel.shape[-1]
 
 
-def path_loss_a2g(wd_xyz, uav_xyz, ch: ChannelParams) -> float:
-    """Air-to-ground path loss in dB (elevation-angle LoS/NLoS blend)."""
-    dx = wd_xyz[0] - uav_xyz[0]
-    dy = wd_xyz[1] - uav_xyz[1]
-    dz = wd_xyz[2] - uav_xyz[2]
-    d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if d == 0.0:
-        raise RadioError("coincident WD and UAV positions")
-    theta_deg = math.degrees(math.asin(uav_xyz[2] / d))
-    los_term = (ch.eta_los - ch.eta_nlos) / (
-        1.0 + ch.a * math.exp(-ch.b * (theta_deg - ch.a))
-    )
-    fspl = 20.0 * math.log10(4.0 * math.pi * ch.carrier_hz * d / ch.light_speed_m_s)
-    return los_term + fspl + ch.eta_nlos
-
-
-def gain_a2g(wd_xyz, uav_xyz, ch: ChannelParams) -> float:
-    """Linear air-to-ground power gain."""
-    return 10.0 ** (-path_loss_a2g(wd_xyz, uav_xyz, ch) / 10.0)
-
-
-def gain_g2g(xy1, xy2, ch: ChannelParams) -> float:
-    """Linear ground-to-ground power gain (reference-distance LoS model)."""
-    d = math.hypot(xy1[0] - xy2[0], xy1[1] - xy2[1])
-    if d == 0.0:
-        raise RadioError("coincident ground positions")
-    return ch.beta0 * d ** (-ch.alpha)
-
-
 def _check_indices(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
     """Validate the index arrays of a placement or a batch; returns the
     number of relayed pairs each UAV serves, (N,) or (B, N)."""
@@ -128,122 +99,6 @@ def _check_indices(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
     offsets = n * np.arange(len(rows))[:, None]
     mu = np.bincount((rows + offsets).ravel(), minlength=len(rows) * n)
     return mu.reshape(assign.shape[:-1] + (n,))
-
-
-def _swd3(pair) -> tuple[float, float, float]:
-    return (pair.swd_xy[0], pair.swd_xy[1], 0.0)
-
-
-def _dwd3(pair) -> tuple[float, float, float]:
-    return (pair.dwd_xy[0], pair.dwd_xy[1], 0.0)
-
-
-def exp_interference_at_uav(m: int, n: int, pl: Placement, cfg: ScenarioConfig) -> float:
-    """Expected co-channel interference at UAV ``n`` while receiving pair ``m``.
-
-    Co-channel served UAV groups contribute their SWDs' powers diluted by
-    the round-robin duty factor; co-channel direct pairs contribute at
-    their activity probability.
-    """
-    mu = _check_indices(pl, cfg)
-    if pl.assignment[m] != n:
-        raise RadioError(f"pair {m} is not assigned to UAV {n}")
-    ch = cfg.channel
-    c_n = pl.uav_channel[n]
-    uav_n = pl.uav_xyz[n]
-    total = 0.0
-    for n_star in range(pl.n_uavs):
-        if n_star == n or pl.uav_channel[n_star] != c_n or mu[n_star] == 0:
-            continue
-        for w in np.flatnonzero(pl.assignment == n_star):
-            pair = cfg.relayed_pairs[w]
-            total += pair.tx_power_w * gain_a2g(_swd3(pair), uav_n, ch) / mu[n_star]
-    for k, pair in enumerate(cfg.direct_pairs):
-        if pl.direct_channel[k] == c_n:
-            total += pair.activity * pair.tx_power_w * gain_a2g(_swd3(pair), uav_n, ch)
-    return total
-
-
-def exp_sinr_uplink(m: int, n: int, pl: Placement, cfg: ScenarioConfig) -> float:
-    """Expected SINR of the SWD-to-UAV leg of relayed pair ``m``."""
-    pair = cfg.relayed_pairs[m]
-    signal = pair.tx_power_w * gain_a2g(_swd3(pair), pl.uav_xyz[n], cfg.channel)
-    return signal / (cfg.channel.noise_w + exp_interference_at_uav(m, n, pl, cfg))
-
-
-def exp_sinr_downlink(n: int, m: int, pl: Placement, cfg: ScenarioConfig) -> float:
-    """Expected SINR of the UAV-to-DWD leg of relayed pair ``m``.
-
-    Cross-UAV interference carries each interfering UAV's own transmit
-    power (idle UAVs transmit nothing); direct pairs interfere over the
-    ground-to-ground channel.
-    """
-    mu = _check_indices(pl, cfg)
-    if pl.assignment[m] != n:
-        raise RadioError(f"pair {m} is not assigned to UAV {n}")
-    ch = cfg.channel
-    c_n = pl.uav_channel[n]
-    dwd = _dwd3(cfg.relayed_pairs[m])
-    interference = 0.0
-    for n_star in range(pl.n_uavs):
-        if n_star == n or pl.uav_channel[n_star] != c_n or mu[n_star] == 0:
-            continue
-        interference += pl.uav_tx_w[n_star] * gain_a2g(dwd, pl.uav_xyz[n_star], ch)
-    for k, pair in enumerate(cfg.direct_pairs):
-        if pl.direct_channel[k] == c_n:
-            interference += pair.activity * pair.tx_power_w * gain_g2g(
-                pair.swd_xy, dwd[:2], ch
-            )
-    signal = pl.uav_tx_w[n] * gain_a2g(dwd, pl.uav_xyz[n], ch)
-    return signal / (ch.noise_w + interference)
-
-
-def exp_sinr_direct_leg(m: int, pl: Placement, cfg: ScenarioConfig) -> float:
-    """Expected SINR of the direct SWD-to-DWD leg of relayed pair ``m``.
-
-    The leg shares the channel of the pair's assigned UAV; interfering
-    SWDs of other co-channel UAV groups count with the round-robin duty
-    factor, all over the ground-to-ground channel.
-    """
-    mu = _check_indices(pl, cfg)
-    ch = cfg.channel
-    n = pl.assignment[m]
-    c_n = pl.uav_channel[n]
-    pair_m = cfg.relayed_pairs[m]
-    dwd = pair_m.dwd_xy
-    interference = 0.0
-    for n_star in range(pl.n_uavs):
-        if n_star == n or pl.uav_channel[n_star] != c_n or mu[n_star] == 0:
-            continue
-        for w in np.flatnonzero(pl.assignment == n_star):
-            pair_w = cfg.relayed_pairs[w]
-            interference += (
-                pair_w.tx_power_w * gain_g2g(pair_w.swd_xy, dwd, ch) / mu[n_star]
-            )
-    for k, pair in enumerate(cfg.direct_pairs):
-        if pl.direct_channel[k] == c_n:
-            interference += pair.activity * pair.tx_power_w * gain_g2g(
-                pair.swd_xy, dwd, ch
-            )
-    signal = pair_m.tx_power_w * gain_g2g(pair_m.swd_xy, dwd, ch)
-    return signal / (ch.noise_w + interference)
-
-
-def link_rate(m: int, n: int, pl: Placement, cfg: ScenarioConfig) -> float:
-    """Expected amplify-and-forward rate of pair ``m`` through UAV ``n`` (bps).
-
-    Zero whenever the pair is not assigned to ``n``; the bandwidth is split
-    by the half-duplex factor and the UAV's round-robin share.
-    """
-    mu = _check_indices(pl, cfg)
-    if pl.assignment[m] != n:
-        return 0.0
-    mu_n = int(mu[n])
-    g_direct = exp_sinr_direct_leg(m, pl, cfg)
-    g_up = exp_sinr_uplink(m, n, pl, cfg)
-    g_down = exp_sinr_downlink(n, m, pl, cfg)
-    combined = 1.0 + g_direct + g_up * g_down / (1.0 + g_up + g_down)
-    return cfg.channel.bandwidth_hz / (2.0 * mu_n) * math.log2(combined)
 
 
 def _g2g_gain_matrix(src_xy: np.ndarray, dst_xy: np.ndarray, ch: ChannelParams) -> np.ndarray:
@@ -309,11 +164,11 @@ class RadioConstants:
     def a2g_gains(self, uav_xyz: np.ndarray) -> np.ndarray:
         """Gains from every ground point to UAVs (N, 3); result (2M + K, N).
 
-        The elevation-angle LoS/NLoS model of :func:`path_loss_a2g`, worked
-        in place in two (2M + K, N) arrays: the ufuncs and their order are
-        those of the expression with a temporary per step, so the result
-        is the same to the bit, with a peak of about two arrays where that
-        expression reached eight.
+        The elevation-angle LoS/NLoS path loss plus free-space loss,
+        worked in place in two (2M + K, N) arrays: the ufuncs and their
+        order are those of the expression with a temporary per step, so
+        the result is the same to the bit, with a peak of about two arrays
+        where that expression reached eight.
         """
         ch = self.ch
         z = uav_xyz[:, 2]
@@ -358,11 +213,13 @@ class RadioConstants:
         return UavGains(phu, txhd, pphk)
 
 
-def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
-    """Expected rate of every relayed pair through its assigned UAV (bps).
+def link_terms(pl: Placement, cfg: ScenarioConfig) -> tuple[np.ndarray, ...]:
+    """Per-pair terms of every relayed pair through its assigned UAV.
 
-    Vectorized equivalent of ``link_rate(m, assignment[m])`` for all m:
-    (M,) rates for a lone placement, (B, M) for a batch.
+    Returns ``(i_up, gamma_up, gamma_dn, gamma_direct, mu)``, each (M,) for
+    a lone placement and (B, M) for a batch: the expected co-channel
+    interference at the serving UAV (W), the expected uplink, downlink and
+    direct-leg SINRs, and the number of pairs the serving UAV serves.
     """
     rc = cfg.radio_constants
     lone = pl.assignment.ndim == 1
@@ -406,7 +263,8 @@ def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
     else:
         i_dir_ground = np.zeros(assign.shape)
 
-    gamma_up = g.phu[rows, pairs, assign] / (sigma2 + i_up_uav[rows, assign])
+    i_up = i_up_uav[rows, assign]
+    gamma_up = g.phu[rows, pairs, assign] / (sigma2 + i_up)
 
     # Downlink interference at each DWD from co-channel transmitting UAVs.
     # The mask is pair-major (B, M, N), so the product is too and its sum
@@ -420,9 +278,20 @@ def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
     i_leg = (group_g * dn_mask.transpose(0, 2, 1)).sum(axis=1) + i_dir_ground
     gamma_direct = rc.p_grr_own / (sigma2 + i_leg)
 
+    terms = (i_up, gamma_up, gamma_dn, gamma_direct, mu[rows, assign])
+    return tuple(t[0] for t in terms) if lone else terms
+
+
+def link_rates(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
+    """Expected amplify-and-forward rate of every relayed pair through its
+    assigned UAV (bps): (M,) rates for a lone placement, (B, M) for a batch.
+
+    The bandwidth is split by the half-duplex factor and the UAV's
+    round-robin share.
+    """
+    _, gamma_up, gamma_dn, gamma_direct, mu = link_terms(pl, cfg)
     combined = 1.0 + gamma_direct + gamma_up * gamma_dn / (1.0 + gamma_up + gamma_dn)
-    rates = cfg.channel.bandwidth_hz / (2.0 * mu[rows, assign]) * np.log2(combined)
-    return rates[0] if lone else rates
+    return cfg.channel.bandwidth_hz / (2.0 * mu) * np.log2(combined)
 
 
 def network_capacity(pl: Placement, cfg: ScenarioConfig) -> float:
@@ -443,7 +312,6 @@ def direct_only_capacity(
     direct pairs (at their activity probability).  Channel assignments not
     given explicitly are drawn uniformly from ``seed``.
     """
-    ch = cfg.channel
     rng = np.random.default_rng(seed)
     if channel_assignment is None:
         channel_assignment = rng.integers(0, cfg.u_channels, size=cfg.m_pairs)
@@ -451,28 +319,23 @@ def direct_only_capacity(
         direct_channels = rng.integers(0, cfg.u_channels, size=cfg.k_pairs)
     channels = np.asarray(channel_assignment)
     direct_channels = np.asarray(direct_channels)
-    if len(channels) != cfg.m_pairs:
-        raise RadioError("channel_assignment length != number of relayed pairs")
-    if cfg.m_pairs and (channels.min() < 0 or channels.max() >= cfg.u_channels):
-        raise RadioError("channel_assignment references a non-existent channel")
-    total = 0.0
-    for m, pair in enumerate(cfg.relayed_pairs):
-        interference = 0.0
-        for m2, other in enumerate(cfg.relayed_pairs):
-            if m2 != m and channels[m2] == channels[m]:
-                interference += other.tx_power_w * gain_g2g(other.swd_xy, pair.dwd_xy, ch)
-        for dpair, dchan in zip(cfg.direct_pairs, direct_channels):
-            if dchan == channels[m]:
-                interference += dpair.activity * dpair.tx_power_w * gain_g2g(
-                    dpair.swd_xy, pair.dwd_xy, ch
-                )
-        sinr = (
-            pair.tx_power_w
-            * gain_g2g(pair.swd_xy, pair.dwd_xy, ch)
-            / (ch.noise_w + interference)
-        )
-        total += ch.bandwidth_hz * math.log2(1.0 + sinr)
-    return total
+    for name, chans, size in (
+        ("channel_assignment", channels, cfg.m_pairs),
+        ("direct_channels", direct_channels, cfg.k_pairs),
+    ):
+        if chans.shape != (size,):
+            raise RadioError(f"{name} must hold {size} channels, got shape {chans.shape}")
+        if size and (chans.min() < 0 or chans.max() >= cfg.u_channels):
+            raise RadioError(f"{name} references a non-existent channel")
+    rc = cfg.radio_constants
+    # [source, relayed pair]: relayed SWDs other than the pair's own, and
+    # direct SWDs, on the pair's channel
+    co_channel = channels[:, None] == channels
+    np.fill_diagonal(co_channel, False)
+    interference = (rc.p_grr * co_channel).sum(axis=0)
+    interference += (rc.pp_gkr * (direct_channels[:, None] == channels)).sum(axis=0)
+    sinr = rc.p_grr_own / (rc.noise_w + interference)
+    return float(cfg.channel.bandwidth_hz * np.log2(1.0 + sinr).sum())
 
 
 def comm_energy_efficiency(capacity: float, uav_tx_w, cfg: ScenarioConfig) -> float:

@@ -318,6 +318,20 @@ def _count(value, name: str) -> int:
     raise ScenarioError(f"{name} must be an integer, got {value!r}")
 
 
+def _flag(value, name: str) -> bool:
+    """``value`` if it is a bool, else ScenarioError."""
+    if type(value) is bool:
+        return value
+    raise ScenarioError(f"{name} must be true or false, got {value!r}")
+
+
+def _xy(values, name: str) -> tuple:
+    """``values`` as a tuple if it holds two finite numbers, else ScenarioError."""
+    if len(values) != 2:
+        raise ScenarioError(f"{name} must hold 2 numbers, got {values!r}")
+    return tuple(_real(v, name) for v in values)
+
+
 # The ScenarioConfig fields in the file's "counts" and "bounds" sections.
 _COUNTS = ("n_min", "n_max", "u_channels")
 _BOUNDS = (
@@ -328,8 +342,8 @@ _BOUNDS = (
 def _pair_from_dict(d: dict) -> DevicePair:
     return DevicePair(
         kind=d["kind"],
-        swd_xy=tuple(_real(v, "pair.swd_xy") for v in d["swd_xy"]),
-        dwd_xy=tuple(_real(v, "pair.dwd_xy") for v in d["dwd_xy"]),
+        swd_xy=_xy(d["swd_xy"], "pair.swd_xy"),
+        dwd_xy=_xy(d["dwd_xy"], "pair.dwd_xy"),
         tx_power_w=_real(d["tx_power_w"], "pair.tx_power_w"),
         activity=_real(d.get("activity", 1.0), "pair.activity"),
     )
@@ -354,7 +368,8 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 def load_scenario(path) -> ScenarioConfig:
     """Load a scenario JSON file, validating the schema and all invariants.
 
-    Counts must be integers and every other numeric field a finite number.
+    Counts must be integers, ``energy.induced_v4`` a bool, each device
+    position two numbers, and every other numeric field a finite number.
     """
     with open(path) as fh:
         try:
@@ -370,7 +385,8 @@ def load_scenario(path) -> ScenarioConfig:
         bounds = {k: _real(doc["bounds"][k], f"bounds.{k}") for k in _BOUNDS}
         channel = {k: _real(v, f"channel.{k}") for k, v in doc["channel"].items()}
         energy = {
-            k: v if k == "induced_v4" else _real(v, f"energy.{k}") for k, v in doc["energy"].items()
+            k: (_flag if k == "induced_v4" else _real)(v, f"energy.{k}")
+            for k, v in doc["energy"].items()
         }
         cfg = ScenarioConfig(
             relayed_pairs=tuple(_pair_from_dict(p) for p in doc["relayed_pairs"]),

@@ -39,6 +39,10 @@ BAD_SCENARIO_FIELDS = [
     (("channel", "bandwidth_hz"), math.nan),
     (("channel", "alpha"), math.nan),
     (("energy", "uav_mass_kg"), math.inf),
+    (("energy", "induced_v4"), "false"),  # a truthy string
+    (("energy", "induced_v4"), None),
+    (("energy", "induced_v4"), 1),
+    (("relayed_pairs", 0, "swd_xy"), [1.0, 2.0, 3.0]),
 ]
 
 

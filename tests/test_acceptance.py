@@ -90,14 +90,16 @@ def test_criterion_02_radio_oracle_equivalence():
         n = int(rng.integers(1, 4))
         cfg = make_config(rng, m=m, k=k, n_min=n, n_max=n, u=int(rng.integers(1, 4)))
         pl = make_placement(rng, cfg, n=n)
+        i_up, gamma_up, gamma_dn, gamma_direct, _ = radio.link_terms(pl, cfg)
+        rates = radio.link_rates(pl, cfg)
         for i in range(m):
             ni = int(pl.assignment[i])
             pairs = [
-                (radio.exp_interference_at_uav(i, ni, pl, cfg), oracle.interference_up(i, ni, pl, cfg)),
-                (radio.exp_sinr_uplink(i, ni, pl, cfg), oracle.sinr_up(i, ni, pl, cfg)),
-                (radio.exp_sinr_downlink(ni, i, pl, cfg), oracle.sinr_down(ni, i, pl, cfg)),
-                (radio.exp_sinr_direct_leg(i, pl, cfg), oracle.sinr_direct_leg(i, pl, cfg)),
-                (radio.link_rate(i, ni, pl, cfg), oracle.rate(i, ni, pl, cfg)),
+                (i_up[i], oracle.interference_up(i, ni, pl, cfg)),
+                (gamma_up[i], oracle.sinr_up(i, ni, pl, cfg)),
+                (gamma_dn[i], oracle.sinr_down(ni, i, pl, cfg)),
+                (gamma_direct[i], oracle.sinr_direct_leg(i, pl, cfg)),
+                (rates[i], oracle.rate(i, ni, pl, cfg)),
             ]
             for got, want in pairs:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,42 +16,50 @@ PL_200M_DB = 85.48923812053579
 GAIN_200M = 2.825375584904659e-09
 
 
+def _gains_from(ground_xy, uav_xyz):
+    """Air-to-ground gains from ground points (G, 2), taken as the relayed
+    SWDs of a small scenario, to UAVs (N, 3): (G, N), through
+    ``RadioConstants.a2g_gains``."""
+    cfg = make_config(np.random.default_rng(0), m=len(ground_xy), k=0)
+    pairs = tuple(
+        dataclasses.replace(p, swd_xy=tuple(xy)) for p, xy in zip(cfg.relayed_pairs, ground_xy)
+    )
+    rc = dataclasses.replace(cfg, relayed_pairs=pairs).radio_constants
+    return rc.a2g_gains(np.array(uav_xyz, dtype=float))[: len(ground_xy)]
+
+
 def test_path_loss_anchor():
-    pl = radio.path_loss_a2g((0, 0, 0), (0, 0, 200.0), CH)
+    gain = _gains_from([(0.0, 0.0)], [(0.0, 0.0, 200.0)])[0, 0]
+    pl = -10.0 * math.log10(gain)
     assert pl == pytest.approx(PL_200M_DB, abs=1e-12)
     assert pl == pytest.approx(oracle.path_loss_db((0, 0, 0), (0, 0, 200.0), CH), abs=1e-12)
 
 
 def test_path_loss_monotone_overhead():
-    low = radio.path_loss_a2g((0, 0, 0), (0, 0, 200.0), CH)
-    high = radio.path_loss_a2g((0, 0, 0), (0, 0, 400.0), CH)
-    assert high > low
+    low, high = _gains_from([(0.0, 0.0)], [(0.0, 0.0, 200.0), (0.0, 0.0, 400.0)])[0]
+    assert high < low
 
 
 def test_path_loss_symmetry():
-    uav = (50.0, 50.0, 300.0)
-    a = radio.path_loss_a2g((0.0, 50.0, 0.0), uav, CH)
-    b = radio.path_loss_a2g((100.0, 50.0, 0.0), uav, CH)
+    a, b = _gains_from([(0.0, 50.0), (100.0, 50.0)], [(50.0, 50.0, 300.0)])[:, 0]
     assert a == pytest.approx(b, rel=1e-15)
 
 
-def test_path_loss_coincident_raises():
-    with pytest.raises(radio.RadioError):
-        radio.path_loss_a2g((0, 0, 200.0), (0, 0, 200.0), CH)
-
-
 def test_gain_a2g_anchor():
-    assert radio.gain_a2g((0, 0, 0), (0, 0, 200.0), CH) == pytest.approx(GAIN_200M, rel=1e-12)
+    # straight above a random ground point, not the origin
+    cfg = make_config(np.random.default_rng(1), m=2, k=1)
+    rc = cfg.radio_constants
+    above = np.array([[rc.ground_x[2, 0], rc.ground_y[2, 0], 200.0]])
+    assert rc.a2g_gains(above)[2, 0] == pytest.approx(GAIN_200M, rel=1e-12)
 
 
 def test_gain_g2g_values():
-    assert radio.gain_g2g((0, 0), (1, 0), CH) == pytest.approx(1e-6, rel=1e-12)
-    assert radio.gain_g2g((0, 0), (100, 0), CH) == pytest.approx(1e-10, rel=1e-12)
-    g1 = radio.gain_g2g((0, 0), (80, 0), CH)
-    g2 = radio.gain_g2g((0, 0), (160, 0), CH)
-    assert g1 == pytest.approx(4 * g2, rel=1e-12)
-    with pytest.raises(radio.RadioError):
-        radio.gain_g2g((5, 5), (5, 5), CH)
+    src = np.array([[0.0, 0.0]])
+    dst = np.array([[1.0, 0.0], [100.0, 0.0], [80.0, 0.0], [160.0, 0.0]])
+    g = radio._g2g_gain_matrix(src, dst, CH)[0]
+    assert g[0] == pytest.approx(1e-6, rel=1e-12)
+    assert g[1] == pytest.approx(1e-10, rel=1e-12)
+    assert g[2] == pytest.approx(4 * g[3], rel=1e-12)
 
 
 def _single_uav_setup(k=0):
@@ -60,9 +69,14 @@ def _single_uav_setup(k=0):
     return cfg, pl
 
 
+def _air_gain(xy, uav_xyz):
+    return oracle.gain_air((xy[0], xy[1], 0.0), uav_xyz, CH)
+
+
 def test_interference_single_uav_zero():
     cfg, pl = _single_uav_setup()
-    assert radio.exp_interference_at_uav(0, 0, pl, cfg) == 0.0
+    i_up, *_ = radio.link_terms(pl, cfg)
+    assert np.array_equal(i_up, np.zeros(3))
 
 
 def test_interference_two_uav_single_pairs():
@@ -73,49 +87,38 @@ def test_interference_two_uav_single_pairs():
     pl.uav_channel = np.array([0, 0])
     # |W| = 1 collapses the duty factor: plain received power of the peer SWD
     other = cfg.relayed_pairs[1]
-    expected = other.tx_power_w * radio.gain_a2g(
-        (other.swd_xy[0], other.swd_xy[1], 0.0), pl.uav_xyz[0], CH
-    )
-    assert radio.exp_interference_at_uav(0, 0, pl, cfg) == pytest.approx(expected, rel=1e-12)
-
-
-def test_interference_requires_assignment():
-    rng = np.random.default_rng(2)
-    cfg = make_config(rng, m=3, k=0, n_min=2, n_max=2, u=2)
-    pl = make_placement(rng, cfg, n=2)
-    pl.assignment = np.array([0, 0, 0])
-    with pytest.raises(radio.RadioError):
-        radio.exp_interference_at_uav(0, 1, pl, cfg)
+    expected = other.tx_power_w * _air_gain(other.swd_xy, pl.uav_xyz[0])
+    i_up, *_ = radio.link_terms(pl, cfg)
+    assert i_up[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_sinr_uplink_no_interference():
     cfg, pl = _single_uav_setup()
     pair = cfg.relayed_pairs[0]
-    signal = pair.tx_power_w * radio.gain_a2g(
-        (pair.swd_xy[0], pair.swd_xy[1], 0.0), pl.uav_xyz[0], CH
-    )
-    assert radio.exp_sinr_uplink(0, 0, pl, cfg) == pytest.approx(signal / CH.noise_w, rel=1e-12)
+    signal = pair.tx_power_w * _air_gain(pair.swd_xy, pl.uav_xyz[0])
+    _, gamma_up, *_ = radio.link_terms(pl, cfg)
+    assert gamma_up[0] == pytest.approx(signal / CH.noise_w, rel=1e-12)
 
 
 def test_sinr_uplink_interferer_decreases():
     rng = np.random.default_rng(3)
-    cfg = make_config(rng, m=2, k=1, n_min=1, n_max=1, u=1)
+    cfg = make_config(rng, m=2, k=1, n_min=1, n_max=1, u=2)
     pl = make_placement(rng, cfg, n=1)
     pl.assignment = np.array([0, 0])
+    pl.uav_channel = np.array([0])
     pl.direct_channel = np.array([0])
-    with_dir = radio.exp_sinr_uplink(0, 0, pl, cfg)
+    _, with_dir, *_ = radio.link_terms(pl, cfg)
     pl.direct_channel = np.array([1])
-    without = radio.exp_sinr_uplink(0, 0, pl, cfg)
-    assert with_dir < without
+    _, without, *_ = radio.link_terms(pl, cfg)
+    assert with_dir[0] < without[0]
 
 
 def test_sinr_downlink_single_uav():
     cfg, pl = _single_uav_setup()
     pair = cfg.relayed_pairs[0]
-    signal = pl.uav_tx_w[0] * radio.gain_a2g(
-        (pair.dwd_xy[0], pair.dwd_xy[1], 0.0), pl.uav_xyz[0], CH
-    )
-    assert radio.exp_sinr_downlink(0, 0, pl, cfg) == pytest.approx(signal / CH.noise_w, rel=1e-12)
+    signal = pl.uav_tx_w[0] * _air_gain(pair.dwd_xy, pl.uav_xyz[0])
+    _, _, gamma_dn, *_ = radio.link_terms(pl, cfg)
+    assert gamma_dn[0] == pytest.approx(signal / CH.noise_w, rel=1e-12)
 
 
 def test_idle_uav_does_not_interfere():
@@ -125,17 +128,13 @@ def test_idle_uav_does_not_interfere():
     pl.assignment = np.array([0, 0])  # UAV 1 serves nothing
     pl.uav_channel = np.array([0, 0])
     pair = cfg.relayed_pairs[0]
-    signal = pair.tx_power_w * radio.gain_a2g(
-        (pair.swd_xy[0], pair.swd_xy[1], 0.0), pl.uav_xyz[0], CH
-    )
-    assert radio.exp_sinr_uplink(0, 0, pl, cfg) == pytest.approx(signal / CH.noise_w, rel=1e-12)
+    i_up, gamma_up, gamma_dn, _, mu = radio.link_terms(pl, cfg)
+    assert np.array_equal(i_up, np.zeros(2)) and np.array_equal(mu, [2, 2])
+    signal = pair.tx_power_w * _air_gain(pair.swd_xy, pl.uav_xyz[0])
+    assert gamma_up[0] == pytest.approx(signal / CH.noise_w, rel=1e-12)
     # the idle co-channel UAV transmits nothing on the downlink either
-    assert radio.exp_sinr_downlink(0, 0, pl, cfg) == radio.exp_sinr_downlink(0, 0, pl, cfg)
-    dn = radio.exp_sinr_downlink(0, 0, pl, cfg)
-    expected = pl.uav_tx_w[0] * radio.gain_a2g(
-        (pair.dwd_xy[0], pair.dwd_xy[1], 0.0), pl.uav_xyz[0], CH
-    )
-    assert dn == pytest.approx(expected / CH.noise_w, rel=1e-12)
+    signal = pl.uav_tx_w[0] * _air_gain(pair.dwd_xy, pl.uav_xyz[0])
+    assert gamma_dn[0] == pytest.approx(signal / CH.noise_w, rel=1e-12)
 
 
 def test_disjoint_channel_changes_nothing():
@@ -145,7 +144,7 @@ def test_disjoint_channel_changes_nothing():
     pl.assignment = np.array([0, 0, 1, 1])
     pl.uav_channel = np.array([0, 1])
     pl.direct_channel = np.array([1, 1])
-    before = radio.link_rate(0, 0, pl, cfg)
+    before = radio.link_rates(pl, cfg)[0]
     # co-channel set of UAV 0 is unchanged by anything on channel 1
     pl2 = make_placement(rng, cfg, n=2)
     pl2.uav_xyz = pl.uav_xyz.copy()
@@ -154,36 +153,17 @@ def test_disjoint_channel_changes_nothing():
     pl2.uav_channel = pl.uav_channel.copy()
     pl2.direct_channel = np.array([1, 1])
     pl2.uav_tx_w[1] *= 0.5
-    assert radio.link_rate(0, 0, pl2, cfg) == pytest.approx(before, rel=1e-12)
-
-
-def test_link_rate_zero_when_unassigned():
-    rng = np.random.default_rng(6)
-    cfg = make_config(rng, m=3, k=0, n_min=2, n_max=2, u=2)
-    pl = make_placement(rng, cfg, n=2)
-    pl.assignment = np.array([0, 0, 0])
-    assert radio.link_rate(0, 1, pl, cfg) == 0.0
+    assert radio.link_rates(pl2, cfg)[0] == pytest.approx(before, rel=1e-12)
 
 
 def test_link_rate_halves_when_shared():
     rng = np.random.default_rng(7)
     cfg1 = make_config(rng, m=1, k=0, n_min=1, n_max=1, u=1)
     pl1 = make_placement(rng, cfg1, n=1)
-    alone = radio.link_rate(0, 0, pl1, cfg1)
+    alone = radio.link_rates(pl1, cfg1)[0]
     # duplicate the pair; both share the single UAV without adding
     # co-channel interference (same group), so only mu changes
-    cfg2 = make_config(np.random.default_rng(7), m=2, k=0, n_min=1, n_max=1, u=1)
-    cfg2 = type(cfg2)(
-        **{
-            **{f: getattr(cfg2, f) for f in (
-                "n_min", "n_max", "u_channels", "l_min_m", "l_max_m", "z_min_m",
-                "z_max_m", "v_min_m_s", "v_max_m_s", "p_min_w", "p_max_w", "t_th_s",
-                "channel", "energy",
-            )},
-            "relayed_pairs": (cfg1.relayed_pairs[0], cfg1.relayed_pairs[0]),
-            "direct_pairs": (),
-        }
-    )
+    cfg2 = dataclasses.replace(cfg1, relayed_pairs=cfg1.relayed_pairs * 2)
     pl2 = radio.Placement(
         uav_xyz=pl1.uav_xyz.copy(),
         uav_tx_w=pl1.uav_tx_w.copy(),
@@ -191,7 +171,8 @@ def test_link_rate_halves_when_shared():
         uav_channel=pl1.uav_channel.copy(),
         direct_channel=np.empty(0, dtype=int),
     )
-    assert radio.link_rate(0, 0, pl2, cfg2) == pytest.approx(alone / 2.0, rel=1e-12)
+    assert np.array_equal(radio.link_terms(pl2, cfg2)[4], [2, 2])
+    assert radio.link_rates(pl2, cfg2)[0] == pytest.approx(alone / 2.0, rel=1e-12)
 
 
 def test_capacity_equals_sum_and_relabel_invariant():
@@ -199,8 +180,7 @@ def test_capacity_equals_sum_and_relabel_invariant():
     cfg = make_config(rng, m=5, k=2, n_min=3, n_max=3, u=2)
     pl = make_placement(rng, cfg, n=3)
     cap = radio.network_capacity(pl, cfg)
-    total = sum(radio.link_rate(m, int(pl.assignment[m]), pl, cfg) for m in range(5))
-    assert cap == pytest.approx(total, rel=1e-12)
+    assert cap == float(radio.link_rates(pl, cfg).sum())
     # relabel UAVs 0 <-> 2 consistently
     perm = np.array([2, 1, 0])
     inv = np.argsort(perm)
@@ -212,9 +192,12 @@ def test_capacity_equals_sum_and_relabel_invariant():
         direct_channel=pl.direct_channel.copy(),
     )
     assert radio.network_capacity(pl2, cfg) == pytest.approx(cap, rel=1e-12)
+    for got, want in zip(radio.link_terms(pl2, cfg), radio.link_terms(pl, cfg)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_scalar_ops_match_oracle():
+    """Each pair's terms and rate match the oracle's per-link scalar functions."""
     rng = np.random.default_rng(9)
     for _ in range(30):
         m = int(rng.integers(1, 7))
@@ -223,39 +206,33 @@ def test_scalar_ops_match_oracle():
         u = int(rng.integers(1, 4))
         cfg = make_config(rng, m=m, k=k, n_min=n, n_max=n, u=u)
         pl = make_placement(rng, cfg, n=n)
+        i_up, gamma_up, gamma_dn, gamma_direct, mu = radio.link_terms(pl, cfg)
+        rates = radio.link_rates(pl, cfg)
         for i in range(m):
             ni = int(pl.assignment[i])
-            assert radio.exp_interference_at_uav(i, ni, pl, cfg) == pytest.approx(
-                oracle.interference_up(i, ni, pl, cfg), rel=1e-12, abs=0
-            )
-            assert radio.exp_sinr_uplink(i, ni, pl, cfg) == pytest.approx(
-                oracle.sinr_up(i, ni, pl, cfg), rel=1e-12
-            )
-            assert radio.exp_sinr_downlink(ni, i, pl, cfg) == pytest.approx(
-                oracle.sinr_down(ni, i, pl, cfg), rel=1e-12
-            )
-            assert radio.exp_sinr_direct_leg(i, pl, cfg) == pytest.approx(
-                oracle.sinr_direct_leg(i, pl, cfg), rel=1e-12
-            )
-            assert radio.link_rate(i, ni, pl, cfg) == pytest.approx(
-                oracle.rate(i, ni, pl, cfg), rel=1e-12
-            )
+            assert i_up[i] == pytest.approx(oracle.interference_up(i, ni, pl, cfg), rel=1e-12, abs=0)
+            assert gamma_up[i] == pytest.approx(oracle.sinr_up(i, ni, pl, cfg), rel=1e-12)
+            assert gamma_dn[i] == pytest.approx(oracle.sinr_down(ni, i, pl, cfg), rel=1e-12)
+            assert gamma_direct[i] == pytest.approx(oracle.sinr_direct_leg(i, pl, cfg), rel=1e-12)
+            assert mu[i] == np.count_nonzero(pl.assignment == ni)
+            assert rates[i] == pytest.approx(oracle.rate(i, ni, pl, cfg), rel=1e-12)
         assert radio.network_capacity(pl, cfg) == pytest.approx(
             oracle.capacity(pl, cfg), rel=1e-12
         )
 
 
 def test_vectorized_matches_scalar():
+    """Batched rates match the oracle's scalar per-link rates."""
     rng = np.random.default_rng(10)
     for _ in range(20):
         n = int(rng.integers(1, 5))
         cfg = make_config(rng, m=int(rng.integers(1, 8)), k=int(rng.integers(0, 4)), n_min=n, n_max=n)
-        pl = make_placement(rng, cfg, n=n)
-        vec = radio.link_rates(pl, cfg)
+        placements = [make_placement(rng, cfg, n=n) for _ in range(3)]
+        rates = radio.link_rates(_batch(placements, cfg), cfg)
         scal = np.array(
-            [radio.link_rate(m, int(pl.assignment[m]), pl, cfg) for m in range(cfg.m_pairs)]
+            [[oracle.rate(m, int(pl.assignment[m]), pl, cfg) for m in range(cfg.m_pairs)] for pl in placements]
         )
-        np.testing.assert_allclose(vec, scal, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rates, scal, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("scale", ["one", "two"])
@@ -311,10 +288,13 @@ def test_batched_rows_match_lone_calls_bytewise(k, n):
     rng = np.random.default_rng(20 + 10 * k + n)
     cfg = make_config(rng, m=7, k=k, n_min=n, n_max=n, u=2)
     placements = [make_placement(rng, cfg, n=n) for _ in range(6)]
-    rates = radio.link_rates(_batch(placements, cfg), cfg)
-    assert rates.shape == (6, cfg.m_pairs)
-    for pl, row in zip(placements, rates):
-        assert row.tobytes() == radio.link_rates(pl, cfg).tobytes()
+    batch = _batch(placements, cfg)
+    outputs = (radio.link_rates(batch, cfg), *radio.link_terms(batch, cfg))
+    assert len(outputs) == 6 and all(out.shape == (6, cfg.m_pairs) for out in outputs)
+    for b, pl in enumerate(placements):
+        lone = (radio.link_rates(pl, cfg), *radio.link_terms(pl, cfg))
+        for out, want in zip(outputs, lone):
+            assert out[b].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad_slot", [-1, 3])
@@ -344,7 +324,7 @@ def test_direct_only_capacity_isolated():
     cap = radio.direct_only_capacity(cfg, channel_assignment=channels)
     expected = sum(
         CH.bandwidth_hz
-        * math.log2(1.0 + p.tx_power_w * radio.gain_g2g(p.swd_xy, p.dwd_xy, CH) / CH.noise_w)
+        * math.log2(1.0 + p.tx_power_w * oracle.gain_ground(p.swd_xy, p.dwd_xy, CH) / CH.noise_w)
         for p in cfg.relayed_pairs
     )
     assert cap == pytest.approx(expected, rel=1e-12)
@@ -357,6 +337,23 @@ def test_direct_only_capacity_matches_oracle():
     dchan = rng.integers(0, 3, 3)
     cap = radio.direct_only_capacity(cfg, channel_assignment=channels, direct_channels=dchan)
     assert cap == pytest.approx(oracle.direct_only_capacity(cfg, channels, dchan), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("relayed", "direct", "match"),
+    [
+        ([0] * 9, [0, 0, 0], "channel_assignment must hold 10 channels"),
+        ([0] * 10, [0], "direct_channels must hold 3 channels"),  # zip would truncate
+        ([0] * 10, [0, 0, 0, 0], "direct_channels must hold 3 channels"),
+        ([0] * 9 + [3], [0, 0, 0], "channel_assignment references a non-existent channel"),
+        ([0] * 10, [9, 9, 9], "direct_channels references a non-existent channel"),
+        ([0] * 10, [0, -1, 0], "direct_channels references a non-existent channel"),
+    ],
+)
+def test_direct_only_capacity_checks_both_channel_arrays(scale_one, relayed, direct, match):
+    radio.direct_only_capacity(scale_one, channel_assignment=[0] * 10, direct_channels=[0, 0, 0])
+    with pytest.raises(radio.RadioError, match=match):
+        radio.direct_only_capacity(scale_one, channel_assignment=relayed, direct_channels=direct)
 
 
 def test_direct_only_capacity_seed_deterministic(scale_one):
