@@ -147,12 +147,13 @@ def front_hypervolume(front: list[Individual], cfg: ScenarioConfig) -> float:
     point taken from the scenario alone, so that solvers compare: 0 bps,
     ``n_max + 1`` UAVs, and the energy of the costliest flight to a top
     corner of the deployment box at any of 101 speeds in [v_min, v_max]."""
-    worst = max(
-        energy.flight_energy((x, y, cfg.z_max_m), v, cfg.origin_xyz, cfg.energy)
-        for x in (cfg.l_min_m, cfg.l_max_m)
-        for y in (cfg.l_min_m, cfg.l_max_m)
-        for v in np.linspace(cfg.v_min_m_s, cfg.v_max_m_s, 101).tolist()
+    sides = (cfg.l_min_m, cfg.l_max_m)
+    corners = np.array([(x, y, cfg.z_max_m) for x in sides for y in sides])
+    speeds = np.linspace(cfg.v_min_m_s, cfg.v_max_m_s, 101)
+    plan = energy.FlightPlan(
+        np.repeat(corners, len(speeds), axis=0), np.tile(speeds, 4), cfg.origin_xyz, cfg.energy
     )
+    worst = float(plan.energies.max())
     points = [ind.key() for ind in front if ind.objectives.feasible]
     return moea.hypervolume(np.array(points), (0.0, cfg.n_max + 1.0, worst))
 

@@ -194,31 +194,25 @@ def check_discrete(sol: Solution, cfg: ScenarioConfig) -> None:
         raise ValueError("assignment references an inactive UAV slot")
 
 
-def _deployment(sol: Solution, cfg: ScenarioConfig):
-    """Radio placement and flight plan of the active slots, sharing ``sol``'s
-    arrays and one array of UAV positions; radio and energy only read them."""
+def to_placement(sol: Solution, cfg: ScenarioConfig) -> radio_mod.Placement:
+    """Radio-model view of the active slots only; it shares ``sol``'s
+    arrays, which radio only reads."""
     n = sol.n_active
-    xyz = np.column_stack([sol.x[:n], sol.y[:n], sol.z[:n]])
-    placement = radio_mod.Placement(
-        uav_xyz=xyz,
+    return radio_mod.Placement(
+        uav_xyz=np.column_stack([sol.x[:n], sol.y[:n], sol.z[:n]]),
         uav_tx_w=sol.p[:n],
         assignment=sol.assign,
         uav_channel=sol.uav_chan[:n],
         direct_channel=sol.direct_chan,
     )
-    return placement, energy_mod.FlightPlan(
-        dest_xyz=xyz, speed_m_s=sol.v[:n], origin_xyz=cfg.origin_xyz
-    )
-
-
-def to_placement(sol: Solution, cfg: ScenarioConfig) -> radio_mod.Placement:
-    """Radio-model view of the active slots only."""
-    return _deployment(sol, cfg)[0]
 
 
 def to_flight_plan(sol: Solution, cfg: ScenarioConfig) -> energy_mod.FlightPlan:
     """Deployment flight plan of the active slots only."""
-    return _deployment(sol, cfg)[1]
+    n = sol.n_active
+    return energy_mod.FlightPlan(
+        np.column_stack([sol.x[:n], sol.y[:n], sol.z[:n]]), sol.v[:n], cfg.origin_xyz, cfg.energy
+    )
 
 
 # Stage one computes at most this many air-to-ground gains (2M + K ground
@@ -267,9 +261,7 @@ def _stage_one(sols: list[Solution], cfg: ScenarioConfig):
         )
         xyz = axes[:3].T.copy()  # C-ordered (cols, 3), as a lone solution's positions
         tx_w = axes[3]
-        plan = energy_mod.FlightPlan(dest_xyz=xyz, speed_m_s=axes[4], origin_xyz=cfg.origin_xyz)
-        plan.flight_energies(cfg.energy)
-        plan.flight_times()
+        plan = energy_mod.FlightPlan(xyz, axes[4], cfg.origin_xyz, cfg.energy)
         placed = []
         offset = 0
         for block, n in chunk:
@@ -322,7 +314,7 @@ def raw_objectives(
                     gains=gains.take(uavs),
                 )
                 capacity = radio_mod.link_rates(batch, cfg).sum(axis=1)
-                energy = energy_mod.average_flight_energy(batch_plan, cfg.energy)
+                energy = energy_mod.average_flight_energy(batch_plan)
                 spread = energy_mod.flight_time_spread(batch_plan)
                 yield indices, list(zip(capacity.tolist(), energy.tolist(), spread.tolist()))
 

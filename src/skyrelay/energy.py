@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -18,49 +17,40 @@ class EnergyError(ValueError):
 class FlightPlan:
     """Straight-line deployment: one destination and speed per UAV.
 
-    ``distances`` is computed from the destinations at construction, the
-    per-UAV flight times and energies on first use; :meth:`take` gathers
-    all three with the plans it cuts.  Build a new plan rather than moving
-    the destinations or changing the speeds of an existing one.  A batch
-    of B plans with one UAV count has the same fields with a leading axis
-    of B.
+    The per-UAV ``distances``, flight ``times`` and flight ``energies``
+    under ``ep`` are computed at construction; :meth:`take` gathers them
+    with the plans it cuts.  Build a new plan rather than moving the
+    destinations or changing the speeds of an existing one.  A batch of B
+    plans with one UAV count has the same fields with a leading axis of B.
+
+    The energy of a constant-speed straight-line flight is the propulsion
+    power times the flight time plus the potential term, the mass-gravity
+    product times the altitude gain; constant speed means the kinetic term
+    vanishes.
     """
 
     dest_xyz: np.ndarray  # (N, 3) m, (B, N, 3) in a batch
     speed_m_s: np.ndarray  # (N,) m/s, (B, N) in a batch
     origin_xyz: tuple[float, float, float]
-    distances: np.ndarray = field(init=False, repr=False)  # (N,) or (B, N) m from the origin
-    _times: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    _energies: Optional[tuple[EnergyParams, np.ndarray]] = field(
-        init=False, repr=False, default=None
-    )
+    ep: InitVar[EnergyParams]
+    distances: np.ndarray = field(init=False, repr=False)  # m from the origin
+    times: np.ndarray = field(init=False, repr=False)  # s
+    energies: np.ndarray = field(init=False, repr=False)  # J
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, ep: EnergyParams) -> None:
+        speeds = self.speed_m_s
+        if (speeds <= 0.0).any():
+            raise EnergyError("speed must be > 0")
         offset = self.dest_xyz - np.asarray(self.origin_xyz)
         # the sum np.linalg.norm(offset, axis=1) computes, without its glue
         self.distances = np.sqrt(np.add.reduce(offset * offset, axis=-1))
+        self.times = self.distances / speeds
+        potential = ep.uav_mass_kg * ep.gravity_m_s2 * (self.dest_xyz[..., 2] - self.origin_xyz[2])
+        self.energies = propulsion_power(speeds, ep) * self.times + potential
 
     @property
     def n_uavs(self) -> int:
         return self.dest_xyz.shape[-2]
-
-    def flight_times(self) -> np.ndarray:
-        if self._times is None:
-            self._times = self.distances / self.speed_m_s
-        return self._times
-
-    def flight_energies(self, ep: EnergyParams) -> np.ndarray:
-        """Energy (J) of each UAV's flight under ``ep``, as :func:`flight_energy`."""
-        if self._energies is None or self._energies[0] is not ep:
-            speeds = self.speed_m_s
-            if (speeds <= 0.0).any():
-                raise EnergyError("speed must be > 0")
-            potential = (
-                ep.uav_mass_kg * ep.gravity_m_s2 * (self.dest_xyz[..., 2] - self.origin_xyz[2])
-            )
-            energies = propulsion_power(speeds, ep) * (self.distances / speeds) + potential
-            self._energies = (ep, energies)
-        return self._energies[1]
 
     def take(self, uavs: np.ndarray) -> "FlightPlan":
         """The plan of the UAVs ``uavs`` indexes, gathered from this lone
@@ -70,10 +60,8 @@ class FlightPlan:
         part.speed_m_s = self.speed_m_s[uavs]
         part.origin_xyz = self.origin_xyz
         part.distances = self.distances[uavs]
-        part._times = None if self._times is None else self._times[uavs]
-        part._energies = (
-            None if self._energies is None else (self._energies[0], self._energies[1][uavs])
-        )
+        part.times = self.times[uavs]
+        part.energies = self.energies[uavs]
         return part
 
 
@@ -100,27 +88,12 @@ def propulsion_power(v, ep: EnergyParams):
     return float(power) if np.ndim(power) == 0 else power
 
 
-def flight_energy(dest_xyz, speed: float, origin_xyz, ep: EnergyParams) -> float:
-    """Energy (J) of a constant-speed straight-line flight plus altitude gain.
-
-    Constant speed means the kinetic term vanishes; the potential term is
-    the mass-gravity product times the altitude change.
-    """
-    if speed <= 0.0:
-        raise EnergyError("speed must be > 0")
-    dest = np.asarray(dest_xyz, dtype=float)
-    origin = np.asarray(origin_xyz, dtype=float)
-    distance = float(np.linalg.norm(dest - origin))
-    potential = ep.uav_mass_kg * ep.gravity_m_s2 * (dest[2] - origin[2])
-    return propulsion_power(speed, ep) * (distance / speed) + potential
-
-
-def average_flight_energy(plan: FlightPlan, ep: EnergyParams):
+def average_flight_energy(plan: FlightPlan):
     """Mean deployment flight energy (J) over the plan's UAVs: a float for
     a lone plan, (B,) for a batch, each row the bits of its lone plan's."""
     if plan.n_uavs == 0:
         raise EnergyError("flight plan has no UAVs")
-    mean = plan.flight_energies(ep).sum(axis=-1) / plan.n_uavs
+    mean = plan.energies.sum(axis=-1) / plan.n_uavs
     return float(mean) if mean.ndim == 0 else mean
 
 
@@ -129,6 +102,5 @@ def flight_time_spread(plan: FlightPlan):
     (B,) for a batch."""
     if plan.n_uavs == 0:
         raise EnergyError("flight plan has no UAVs")
-    times = plan.flight_times()
-    spread = times.max(axis=-1) - times.min(axis=-1)
+    spread = plan.times.max(axis=-1) - plan.times.min(axis=-1)
     return float(spread) if spread.ndim == 0 else spread

@@ -95,6 +95,9 @@ def _check_indices(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
     n = pl.n_uavs
     if assign.size and (assign.min() < 0 or assign.max() >= n):
         raise RadioError("assignment references a non-existent UAV")
+    for name, channels in (("uav_channel", pl.uav_channel), ("direct_channel", pl.direct_channel)):
+        if channels.size and (channels.min() < 0 or channels.max() >= cfg.u_channels):
+            raise RadioError(f"{name} references a non-existent channel")
     rows = assign.reshape(-1, cfg.m_pairs)
     offsets = n * np.arange(len(rows))[:, None]
     mu = np.bincount((rows + offsets).ravel(), minlength=len(rows) * n)

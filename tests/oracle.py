@@ -174,6 +174,15 @@ def propulsion_power(v, ep) -> float:
     return blade + induced + parasite
 
 
+def flight_energy(dest_xyz, speed, origin_xyz, ep) -> float:
+    """Constant-speed straight-line flight: propulsion power times flight
+    time, plus the potential term of the altitude gain."""
+    distance = math.dist(dest_xyz, origin_xyz)
+    flight_time = distance / speed
+    potential = ep.uav_mass_kg * ep.gravity_m_s2 * (dest_xyz[2] - origin_xyz[2])
+    return propulsion_power(speed, ep) * flight_time + potential
+
+
 def dominates(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b)) and a != tuple(b)
 
@@ -364,9 +373,8 @@ def lone_objectives(sol, cfg) -> tuple[float, float, float, bool, float]:
     plan = encoding.to_flight_plan(sol, cfg)
     neg_f1 = -float(radio.link_rates(encoding.to_placement(sol, cfg), cfg).sum())
     f2 = float(sol.n_active)
-    f3 = float(plan.flight_energies(cfg.energy).sum()) / plan.n_uavs
-    times = plan.flight_times()
-    spread = float(times.max() - times.min())
+    f3 = float(plan.energies.sum()) / plan.n_uavs
+    spread = float(plan.times.max() - plan.times.min())
     feasible = spread <= cfg.t_th_s
     violation = 0.0
     if not feasible:

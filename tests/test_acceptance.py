@@ -115,7 +115,10 @@ def test_criterion_03_energy_anchors():
     ep = EnergyParams()
     hover = energy.propulsion_power(0.0, ep)
     ok1 = abs(hover - (ep.p_blade_w + ep.p_induced_w)) < 1e-9
-    e = energy.flight_energy((500.0, 0.0, 200.0), 10.0, (0.0, 0.0, 200.0), ep)
+    plan = energy.FlightPlan(
+        np.array([[500.0, 0.0, 200.0]]), np.array([10.0]), (0.0, 0.0, 200.0), ep
+    )
+    e = float(plan.energies[0])
     ok2 = abs(e - 50.0 * energy.propulsion_power(10.0, ep)) < 1e-9
     verdict(
         "criterion 3",
@@ -136,9 +139,7 @@ def test_criterion_04_penalty_exactness(scale1_cfg):
     ov = encoding.evaluate(sol, scale1_cfg)
     assert not ov.feasible
     cap = radio.network_capacity(encoding.to_placement(sol, scale1_cfg), scale1_cfg)
-    e = energy.average_flight_energy(
-        encoding.to_flight_plan(sol, scale1_cfg), scale1_cfg.energy
-    )
+    e = energy.average_flight_energy(encoding.to_flight_plan(sol, scale1_cfg))
     ok = (
         ov.neg_f1 == -cap + 1.0e7
         and ov.f2 == float(n) + 8.0

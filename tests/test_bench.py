@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracle
 from conftest import make_config
-from skyrelay import bench, energy
+from skyrelay import bench
 from skyrelay.bench import (
     ALGORITHMS,
     aggregate_stats,
@@ -130,7 +131,7 @@ def test_front_hypervolume_reference_and_feasible_members(scale_one):
     corners = [(x, y, cfg.z_max_m) for x in sides for y in sides]
     speeds = np.linspace(cfg.v_min_m_s, cfg.v_max_m_s, 101)
     worst = max(
-        energy.flight_energy(c, v, cfg.origin_xyz, cfg.energy) for c in corners for v in speeds
+        oracle.flight_energy(c, v, cfg.origin_xyz, cfg.energy) for c in corners for v in speeds
     )
     # one feasible member spans a box to (0, n_max + 1, worst); an
     # infeasible one adds nothing, however good its objectives read

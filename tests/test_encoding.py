@@ -237,7 +237,7 @@ def test_evaluate_components(scale_one):
         plan = encoding.to_flight_plan(sol, scale_one)
         spread_ok = energy.flight_time_spread(plan) <= scale_one.t_th_s
         cap = radio.network_capacity(pl, scale_one)
-        e = energy.average_flight_energy(plan, scale_one.energy)
+        e = energy.average_flight_energy(plan)
         assert ov.feasible == spread_ok
         if spread_ok:
             assert ov.neg_f1 == -cap
@@ -262,7 +262,7 @@ def test_penalty_exact(scale_one):
     ov = evaluate(sol, scale_one)
     assert not ov.feasible
     cap = radio.network_capacity(encoding.to_placement(sol, scale_one), scale_one)
-    e = energy.average_flight_energy(encoding.to_flight_plan(sol, scale_one), scale_one.energy)
+    e = energy.average_flight_energy(encoding.to_flight_plan(sol, scale_one))
     assert ov.neg_f1 == -cap + PENALTY_NEG_F1
     assert ov.f2 == sol.n_active + PENALTY_F2
     assert ov.f3 == e + PENALTY_F3
@@ -283,7 +283,7 @@ def test_evaluate_violation(scale_one):
         plan = encoding.to_flight_plan(sol, scale_one)
         spread = energy.flight_time_spread(plan)
         cap = radio.network_capacity(encoding.to_placement(sol, scale_one), scale_one)
-        e = energy.average_flight_energy(plan, scale_one.energy)
+        e = energy.average_flight_energy(plan)
         seen.add(ov.feasible)
         if ov.feasible:
             assert ov.violation == 0.0

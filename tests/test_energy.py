@@ -9,7 +9,6 @@ from skyrelay.energy import (
     EnergyError,
     FlightPlan,
     average_flight_energy,
-    flight_energy,
     flight_time_spread,
     propulsion_power,
 )
@@ -39,26 +38,39 @@ def test_power_matches_oracle():
         )
 
 
+ORIGIN = (0.0, 0.0, 200.0)
+
+
+def _lone_energy(dest_xyz, speed):
+    """Energy (J) of a one-UAV plan from ``ORIGIN``."""
+    plan = FlightPlan(np.array([dest_xyz]), np.array([speed]), ORIGIN, EP)
+    return float(plan.energies[0])
+
+
 def test_flight_energy_level_anchor():
-    e = flight_energy((500.0, 0.0, 200.0), 10.0, (0.0, 0.0, 200.0), EP)
+    e = _lone_energy((500.0, 0.0, 200.0), 10.0)
     assert e == pytest.approx(E_500M_10MS_J, abs=1e-9)
     assert e == pytest.approx(50.0 * propulsion_power(10.0, EP), abs=1e-9)
+    want = oracle.flight_energy((500.0, 0.0, 200.0), 10.0, ORIGIN, EP)
+    assert e == pytest.approx(want, rel=1e-12)
 
 
 def test_flight_energy_potential_term():
-    level = flight_energy((0.0, 300.0, 200.0), 8.0, (0.0, 0.0, 200.0), EP)
+    level = _lone_energy((0.0, 300.0, 200.0), 8.0)
     dz = 120.0
     dist = math.hypot(300.0, dz)
-    climb = flight_energy((0.0, 300.0, 200.0 + dz), 8.0, (0.0, 0.0, 200.0), EP)
+    climb = _lone_energy((0.0, 300.0, 200.0 + dz), 8.0)
     expected = propulsion_power(8.0, EP) * dist / 8.0 + EP.uav_mass_kg * EP.gravity_m_s2 * dz
     assert climb == pytest.approx(expected, rel=1e-12)
     assert climb > level
 
 
 def test_flight_energy_rejects_bad_speed():
+    # a plan checks its speeds when it is built
+    dest = np.array([[100.0, 0.0, 250.0], [0.0, 50.0, 300.0]])
     for v in (0.0, -3.0):
-        with pytest.raises(EnergyError):
-            flight_energy((100.0, 0.0, 250.0), v, (0.0, 0.0, 200.0), EP)
+        with pytest.raises(EnergyError, match="speed must be > 0"):
+            FlightPlan(dest, np.array([8.0, v]), ORIGIN, EP)
 
 
 def test_induced_v4_reading():
@@ -75,50 +87,39 @@ def test_induced_v4_reading():
 def _plan(rng, n):
     xy = rng.uniform(0.0, 400.0, (n, 2))
     z = rng.uniform(200.0, 500.0, (n, 1))
-    return FlightPlan(
-        dest_xyz=np.hstack([xy, z]),
-        speed_m_s=rng.uniform(6.0, 16.0, n),
-        origin_xyz=(0.0, 0.0, 200.0),
-    )
+    return FlightPlan(np.hstack([xy, z]), rng.uniform(6.0, 16.0, n), ORIGIN, EP)
 
 
 def test_average_matches_per_uav_sum():
     rng = np.random.default_rng(0)
     for n in (1, 2, 5, 8):
         plan = _plan(rng, n)
-        avg = average_flight_energy(plan, EP)
+        avg = average_flight_energy(plan)
         per = [
-            flight_energy(plan.dest_xyz[i], float(plan.speed_m_s[i]), plan.origin_xyz, EP)
+            oracle.flight_energy(plan.dest_xyz[i], float(plan.speed_m_s[i]), ORIGIN, EP)
             for i in range(n)
         ]
         assert avg == pytest.approx(sum(per) / n, rel=1e-12)
 
 
 def test_average_rejects_empty_and_bad_speed():
-    empty = FlightPlan(
-        dest_xyz=np.empty((0, 3)), speed_m_s=np.empty(0), origin_xyz=(0.0, 0.0, 200.0)
-    )
-    with pytest.raises(EnergyError):
-        average_flight_energy(empty, EP)
+    empty = FlightPlan(np.empty((0, 3)), np.empty(0), ORIGIN, EP)
+    with pytest.raises(EnergyError, match="no UAVs"):
+        average_flight_energy(empty)
     rng = np.random.default_rng(1)
     plan = _plan(rng, 3)
-    plan.speed_m_s[1] = 0.0
-    with pytest.raises(EnergyError):
-        average_flight_energy(plan, EP)
+    speeds = plan.speed_m_s.copy()
+    speeds[1] = 0.0
+    with pytest.raises(EnergyError, match="speed must be > 0"):
+        FlightPlan(plan.dest_xyz, speeds, ORIGIN, EP)
 
 
 def test_flight_time_spread():
     plan = FlightPlan(
-        dest_xyz=np.array([[100.0, 0.0, 200.0], [0.0, 160.0, 200.0]]),
-        speed_m_s=np.array([10.0, 10.0]),
-        origin_xyz=(0.0, 0.0, 200.0),
+        np.array([[100.0, 0.0, 200.0], [0.0, 160.0, 200.0]]), np.array([10.0, 10.0]), ORIGIN, EP
     )
     assert flight_time_spread(plan) == pytest.approx(6.0, rel=1e-12)
-    single = FlightPlan(
-        dest_xyz=np.array([[50.0, 0.0, 250.0]]),
-        speed_m_s=np.array([7.0]),
-        origin_xyz=(0.0, 0.0, 200.0),
-    )
+    single = FlightPlan(np.array([[50.0, 0.0, 250.0]]), np.array([7.0]), ORIGIN, EP)
     assert flight_time_spread(single) == 0.0
 
 
@@ -134,22 +135,21 @@ def test_batch_rows_equal_lone_plans_bytewise(n):
             axis=-1,
         ),
         speed_m_s=rng.uniform(6.0, 16.0, (b, n)),
-        origin_xyz=(0.0, 0.0, 200.0),
+        origin_xyz=ORIGIN,
+        ep=EP,
     )
-    energies = average_flight_energy(batch, EP)
+    energies = average_flight_energy(batch)
     spreads = flight_time_spread(batch)
     assert energies.shape == spreads.shape == (b,)
     for row in range(b):
         lone = FlightPlan(
-            dest_xyz=batch.dest_xyz[row].copy(),
-            speed_m_s=batch.speed_m_s[row].copy(),
-            origin_xyz=batch.origin_xyz,
+            batch.dest_xyz[row].copy(), batch.speed_m_s[row].copy(), batch.origin_xyz, EP
         )
-        energy, spread = average_flight_energy(lone, EP), flight_time_spread(lone)
+        energy, spread = average_flight_energy(lone), flight_time_spread(lone)
         assert type(energy) is float and type(spread) is float
         assert energies[row].tobytes() == np.float64(energy).tobytes()
         assert spreads[row].tobytes() == np.float64(spread).tobytes()
         # a plan gathered from a lone one scores as that lone one
         taken = lone.take(np.arange(n)[None])
-        assert average_flight_energy(taken, EP)[0] == energy
+        assert average_flight_energy(taken)[0] == energy
         assert flight_time_spread(taken)[0] == spread

@@ -307,6 +307,23 @@ def test_bad_assignment_inside_a_batch_raises(bad_slot):
         radio.link_rates(_batch(placements, cfg), cfg)
 
 
+@pytest.mark.parametrize(
+    ("uav_channel", "direct_channel", "name"),
+    [([5], [0], "uav_channel"), ([-1], [0], "uav_channel"), ([0], [7], "direct_channel")],
+    ids=["uav-above", "uav-below", "direct-above"],
+)
+def test_out_of_range_channel_raises(uav_channel, direct_channel, name):
+    # at U = 1 an out-of-range channel would otherwise match no other link
+    rng = np.random.default_rng(31)
+    cfg = make_config(rng, m=2, k=1, n_min=1, n_max=1, u=1)
+    pl = make_placement(rng, cfg, n=1)
+    radio.link_rates(pl, cfg)
+    pl.uav_channel = np.array(uav_channel)
+    pl.direct_channel = np.array(direct_channel)
+    with pytest.raises(radio.RadioError, match=f"{name} references a non-existent channel"):
+        radio.link_rates(pl, cfg)
+
+
 def test_all_quantities_finite_nonnegative():
     rng = np.random.default_rng(11)
     for _ in range(20):
