@@ -4,7 +4,7 @@ A benchmark holds one scenario fixed and runs a solver for ``n_trials``
 independent seeds (base seed + trial index), then aggregates the
 per-strategy picks into mean/std/max/min tables and writes plot data.
 The worker pool size is capped by the ``SKYRELAY_THREADS`` environment
-variable (default: hardware parallelism).
+variable, an integer >= 1 (default: hardware parallelism).
 """
 
 from __future__ import annotations
@@ -65,10 +65,18 @@ class RunStats:
 
 
 def _threads() -> int:
+    """Worker cap from ``SKYRELAY_THREADS``: an integer >= 1, or the CPU
+    count when unset or empty; any other value raises ValueError."""
     env = os.environ.get("SKYRELAY_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"SKYRELAY_THREADS must be an integer >= 1, got {env!r}")
+    return threads
 
 
 def _run_one(args) -> TrialReport:

@@ -12,10 +12,11 @@ Evaluation has two stages, both in :func:`raw_objectives`.  Stage one
 computes, for a whole batch of solutions in one numpy pass, everything the
 continuous genes alone decide: the air-to-ground gain products and each
 UAV's flight distance, energy and time.  Stage two scores the discrete
-schedules one UAV-count group at a time: one :func:`radio.link_rates`
-call per group and row reductions give each solution's capacity, mean
-flight energy and time spread, and :func:`evaluate` turns a solution's
-row into its objective vector.
+schedules in batches that merge UAV-count groups, each row padded to its
+batch's widest count: one :func:`radio.link_rates` call per batch and row
+reductions give each solution's capacity, mean flight energy and time
+spread, and :func:`evaluate` turns a solution's row into its objective
+vector.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _check_counts(sol: Solution, cfg: ScenarioConfig) -> None:
 
 
 def _check_channels(uav_chan: np.ndarray, direct_chan: np.ndarray, cfg: ScenarioConfig) -> None:
-    """Channels of one solution, or the stacked rows of a group."""
+    """Channels of one solution, or the stacked rows of a rate batch."""
     for name, channels in (("uav_chan", uav_chan), ("direct_chan", direct_chan)):
         if channels.size and (channels.min() < 0 or channels.max() >= cfg.u_channels):
             raise ValueError(f"{name} references a non-existent channel")
@@ -217,14 +218,20 @@ def to_flight_plan(sol: Solution, cfg: ScenarioConfig) -> energy_mod.FlightPlan:
 
 # Stage one computes at most this many air-to-ground gains (2M + K ground
 # points times UAV columns) in one pass; a larger batch runs in several
-# passes of whole blocks.  Stage two's rate groups keep to the same bound
-# in B placements x N UAVs x M pairs.  A pass holds 2849 columns at scale 1
-# and 318 at scale 2, so one pass, and one rate group per UAV count, takes
-# each generation of the benchmark's pop-20 and pop-100 runs (at scale 2
-# the widest pass measured 56k gains; 4096 took about 13 passes per
-# generation there).  The in-place gain kernel works in about two arrays
-# of a pass's size.
+# passes of whole blocks.  A pass holds 2849 columns at scale 1 and 318 at
+# scale 2, so one pass takes each generation of the benchmark's pop-20 and
+# pop-100 runs (at scale 2 the widest pass measured 56k gains; 4096 took
+# about 13 passes per generation there).  The in-place gain kernel works
+# in about two arrays of a pass's size.
 STAGE_ONE_GAINS = 65536
+
+# A stage-two rate batch holds at most this many B placements x N UAVs x M
+# pairs, N its widest UAV count.  A batch's fixed numpy cost outweighs its
+# arithmetic on small arrays, and padding costs arithmetic on large ones:
+# 16384 rates a pop-20 or pop-100 generation at scale 1 (up to 200 rows of
+# at most 8 UAVs and 10 pairs) in one batch, and at scale 2 (100 pairs)
+# holds 10 to 20 rows per batch.
+RATE_BATCH = 16384
 
 
 def _stage_one(sols: list[Solution], cfg: ScenarioConfig):
@@ -275,48 +282,53 @@ def raw_objectives(
     sols: list[Solution], cfg: ScenarioConfig
 ) -> Iterator[tuple[list[int], list[tuple[float, float, float]]]]:
     """Capacity, mean flight energy and time spread of every solution in
-    ``sols``: stage one, then stage two one UAV-count group at a time.
+    ``sols``: stage one, then stage two one rate batch at a time.
 
     Yields ``(indices into sols, rows)``, one ``(capacity, energy, spread)``
-    row per index.  Each pass's solutions are grouped by UAV count, at most
-    ``STAGE_ONE_GAINS`` B x N x M per group, and scored before the next
-    pass: one :func:`radio.link_rates` call and row reductions, which give
-    each row the bits a lone solution gets.  The checks of
-    :func:`check_discrete` run first, the channel checks over a group's
-    stacked rows; :func:`radio.link_rates` checks the assignment range.
+    row per index.  Each pass's solutions are taken in increasing UAV count
+    and cut into batches of at most ``RATE_BATCH`` B x N x M, N the batch's
+    widest count, and scored before the next pass: one
+    :func:`radio.link_rates` call and row reductions, which give each row
+    the bits a lone solution gets.  A batch row's slots beyond its own count
+    repeat its last UAV.  The checks of :func:`check_discrete` run first,
+    the channel checks over a batch's stacked rows; :func:`radio.link_rates`
+    checks the assignment range.
     """
     for sol in sols:
         _check_counts(sol, cfg)
+    m = cfg.m_pairs
     for gains, plan, tx_w, placed in _stage_one(sols, cfg):
-        # Each group as two lists: tuples as long as a group, from
-        # zip(*pairs), kept a 1 MiB allocator arena more resident.
-        groups: dict[int, tuple[list[int], list[int]]] = {}  # count -> indices, columns
-        for i, column in placed:
-            indices, columns = groups.setdefault(sols[i].n_active, ([], []))
-            indices.append(i)
-            columns.append(column)
-        for n, (group, columns) in groups.items():
-            size = max(STAGE_ONE_GAINS // (n * cfg.m_pairs), 1)
-            for lo in range(0, len(group), size):
-                indices = group[lo : lo + size]
-                members = [sols[i] for i in indices]
-                uav_chan = np.array([sol.uav_chan for sol in members])
-                direct_chan = np.array([sol.direct_chan for sol in members])
-                _check_channels(uav_chan, direct_chan, cfg)
-                uavs = np.array(columns[lo : lo + size])[:, None] + np.arange(n)  # (B, n) pass columns
-                batch_plan = plan.take(uavs)
-                batch = radio_mod.Placement(
-                    uav_xyz=batch_plan.dest_xyz,
-                    uav_tx_w=tx_w[uavs],
-                    assignment=np.array([sol.assign for sol in members]),
-                    uav_channel=uav_chan[:, :n],
-                    direct_channel=direct_chan,
-                    gains=gains.take(uavs),
-                )
-                capacity = radio_mod.link_rates(batch, cfg).sum(axis=1)
-                energy = energy_mod.average_flight_energy(batch_plan)
-                spread = energy_mod.flight_time_spread(batch_plan)
-                yield indices, list(zip(capacity.tolist(), energy.tolist(), spread.tolist()))
+        placed.sort(key=lambda member: sols[member[0]].n_active)
+        counts = [sols[i].n_active for i, _ in placed]
+        start = 0
+        while start < len(placed):
+            stop = start + 1
+            while stop < len(placed) and (stop + 1 - start) * counts[stop] * m <= RATE_BATCH:
+                stop += 1
+            indices = [i for i, _ in placed[start:stop]]
+            members = [sols[i] for i in indices]
+            row_counts = np.array(counts[start:stop])
+            # (B, width): each row's own slots, then its last one repeated
+            slots = np.minimum(np.arange(counts[stop - 1]), row_counts[:, None] - 1)
+            uav_chan = np.array([sol.uav_chan for sol in members])
+            direct_chan = np.array([sol.direct_chan for sol in members])
+            _check_channels(uav_chan, direct_chan, cfg)
+            uavs = np.array([column for _, column in placed[start:stop]])[:, None] + slots
+            batch_plan = plan.take(uavs, row_counts)
+            batch = radio_mod.Placement(
+                uav_xyz=batch_plan.dest_xyz,
+                uav_tx_w=tx_w[uavs],
+                assignment=np.array([sol.assign for sol in members]),
+                uav_channel=np.take_along_axis(uav_chan, slots, axis=1),
+                direct_channel=direct_chan,
+                gains=gains.take(uavs),
+                counts=row_counts,
+            )
+            capacity = radio_mod.link_rates(batch, cfg).sum(axis=1)
+            energy = energy_mod.average_flight_energy(batch_plan)
+            spread = energy_mod.flight_time_spread(batch_plan)
+            yield indices, list(zip(capacity.tolist(), energy.tolist(), spread.tolist()))
+            start = stop
 
 
 def evaluate(
@@ -329,7 +341,7 @@ def evaluate(
     The per-solution step of stage two: ``raw`` is the solution's row of
     :func:`raw_objectives`, which has checked its domain.  Without it,
     :func:`raw_objectives` runs on ``[sol]`` first, so a lone solution is
-    scored as a group of one.
+    scored as a batch of one.
 
     The time-spread constraint is penalized, not repaired: an infeasible
     deployment gets all three components shifted by the fixed penalties,

@@ -8,11 +8,14 @@ The model is implemented once: :func:`link_terms` gives every relayed
 pair's uplink interference, SINRs and round-robin share, and
 :func:`link_rates` reduces them to rates.  ``tests/oracle.py`` spells out
 each formula term by term with plain loops and is the reference they are
-checked against.  Both take a batch of B placements with one UAV count N,
-as arrays with a leading batch axis; a lone placement is a batch of one.
-Each batch slice adds in the order a lone placement's arrays do, so a
-placement's terms do not depend on its batch.  A batch holds a few
-(B, N, M) arrays, so callers bound B x N x M (``encoding.STAGE_ONE_GAINS``).
+checked against.  Both take a batch of B placements as arrays with a
+leading batch axis, padded to the batch's widest UAV count N; a lone
+placement is a batch of one.  Each batch slice adds in the order a lone
+placement's arrays do, and a padded slot serves no pair, so it only adds
+zeros after a row's own terms; the one sum that padding would regroup,
+the downlink interference along the UAV axis, is taken per UAV count.  A
+placement's terms therefore do not depend on its batch.  A batch holds a
+few (B, N, M) arrays, so callers bound B x N x M (``encoding.RATE_BATCH``).
 
 :meth:`RadioConstants.a2g_gains` evaluates the air-to-ground model
 (Al-Hourani et al. 2014) from every ground point to a whole stage-one
@@ -28,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .energy import count_sums
 from .scenario import ChannelParams, ScenarioConfig
 
 
@@ -68,8 +72,11 @@ class Placement:
     computed beforehand (in a stage-one pass, see
     :func:`skyrelay.encoding.raw_objectives`) and must then match
     ``uav_xyz`` and ``uav_tx_w``; left None, :func:`link_rates` computes
-    them.  A batch of B placements with one UAV
-    count has the same fields with a leading axis of B, and its gains.
+    them.  A batch of B placements has the same fields with a leading
+    axis of B, and its gains, padded to its widest placement: ``counts``
+    (B,) gives each row's UAV count (all N when None).  No pair is assigned
+    to a slot at or beyond its row's count; such slots repeat the row's
+    last UAV, so their gains are finite.
     """
 
     uav_xyz: np.ndarray  # (N, 3) m
@@ -78,30 +85,35 @@ class Placement:
     uav_channel: np.ndarray  # (N,) int
     direct_channel: np.ndarray  # (K,) int
     gains: Optional[UavGains] = None
+    counts: Optional[np.ndarray] = None  # (B,) int, UAVs per batch row
 
     @property
     def n_uavs(self) -> int:
         return self.uav_channel.shape[-1]
 
 
-def _check_indices(pl: Placement, cfg: ScenarioConfig) -> np.ndarray:
-    """Validate the index arrays of a placement or a batch; returns the
-    number of relayed pairs each UAV serves, (N,) or (B, N)."""
+def _check_indices(pl: Placement, cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the index arrays of a batch; returns each row's UAV count,
+    (B,), and the number of relayed pairs each UAV serves, (B, N)."""
     assign = pl.assignment
     if assign.shape[-1] != cfg.m_pairs:
         raise RadioError("assignment length != number of relayed pairs")
     if pl.direct_channel.shape[-1] != cfg.k_pairs:
         raise RadioError("direct_channel length != number of direct pairs")
     n = pl.n_uavs
-    if assign.size and (assign.min() < 0 or assign.max() >= n):
+    counts = pl.counts
+    if counts is None:
+        counts = np.full(len(assign), n)
+    elif counts.shape != (len(assign),) or counts.min() < 1 or counts.max() > n:
+        raise RadioError("counts must give each batch row a UAV count in 1..N")
+    if assign.size and (assign.min() < 0 or (assign >= counts[:, None]).any()):
         raise RadioError("assignment references a non-existent UAV")
     for name, channels in (("uav_channel", pl.uav_channel), ("direct_channel", pl.direct_channel)):
         if channels.size and (channels.min() < 0 or channels.max() >= cfg.u_channels):
             raise RadioError(f"{name} references a non-existent channel")
-    rows = assign.reshape(-1, cfg.m_pairs)
-    offsets = n * np.arange(len(rows))[:, None]
-    mu = np.bincount((rows + offsets).ravel(), minlength=len(rows) * n)
-    return mu.reshape(assign.shape[:-1] + (n,))
+    offsets = n * np.arange(len(assign))[:, None]
+    mu = np.bincount((assign + offsets).ravel(), minlength=len(assign) * n)
+    return counts, mu.reshape(len(assign), n)
 
 
 def _g2g_gain_matrix(src_xy: np.ndarray, dst_xy: np.ndarray, ch: ChannelParams) -> np.ndarray:
@@ -230,7 +242,7 @@ def link_terms(pl: Placement, cfg: ScenarioConfig) -> tuple[np.ndarray, ...]:
         g = pl.gains if pl.gains is not None else rc.uav_gains(pl.uav_xyz, pl.uav_tx_w)
         fields = (pl.uav_xyz, pl.uav_tx_w, pl.assignment, pl.uav_channel, pl.direct_channel)
         pl = Placement(*(a[None] for a in fields), UavGains(g.phu[None], g.txhd[None], g.pphk[None]))
-    mu = _check_indices(pl, cfg)  # (B, N)
+    counts, mu = _check_indices(pl, cfg)  # (B,), (B, N)
     g = pl.gains
     sigma2 = rc.noise_w
     pairs = rc.pairs
@@ -244,8 +256,11 @@ def link_terms(pl: Placement, cfg: ScenarioConfig) -> tuple[np.ndarray, ...]:
     # Each batch slice repeats the arithmetic of a lone placement in the
     # same order.  Each matmul slice gets the operand layouts BLAS gets for
     # a lone placement: the one-hot transposed (F-ordered), the gains
-    # C-ordered.  The uplink and direct-leg sums run over a non-innermost
-    # axis, the downlink sum along a contiguous one.
+    # C-ordered; a padded slot adds an idle one-hot row and a gain column,
+    # which leave the other entries' bits as they are.  The uplink and
+    # direct-leg sums run over a non-innermost axis, so a padded slot only
+    # adds a trailing +0.0; the downlink sum runs along a contiguous one,
+    # over each row's own slots.
     one_hot_t = eye[assign].transpose(0, 2, 1)  # (B, N, M)
     pair_channel = uav_channel[rows, assign]  # (B, M)
 
@@ -275,7 +290,7 @@ def link_terms(pl: Placement, cfg: ScenarioConfig) -> tuple[np.ndarray, ...]:
     # of a lone placement.
     dn_mask = (pair_channel[:, :, None] == uav_channel[:, None, :]) & (mu > 0)[:, None, :]
     dn_mask[rows, pairs, assign] = False  # (B, M, N)
-    i_dn = (g.txhd.transpose(0, 2, 1) * dn_mask).sum(axis=2) + i_dir_ground
+    i_dn = count_sums(g.txhd.transpose(0, 2, 1) * dn_mask, counts) + i_dir_ground
     gamma_dn = g.txhd[rows, assign, pairs] / (sigma2 + i_dn)
 
     i_leg = (group_g * dn_mask.transpose(0, 2, 1)).sum(axis=1) + i_dir_ground

@@ -106,8 +106,8 @@ def uav_number_adjust(
 def _evaluate(sols: list[Solution], cfg: ScenarioConfig) -> list[Individual]:
     """Two-stage evaluation, results in the order of ``sols``.
 
-    :func:`encoding.raw_objectives` scores ``sols`` one UAV-count group at
-    a time; each solution then gets its objective vector from its row
+    :func:`encoding.raw_objectives` scores ``sols`` one rate batch at a
+    time; each solution then gets its objective vector from its row
     through ``encoding.evaluate``, looked up as a module attribute.
     """
     scored: list[Individual] = [None] * len(sols)  # type: ignore[list-item]

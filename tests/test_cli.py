@@ -93,6 +93,17 @@ def test_usage_errors(workspace, tmp_path):
         assert main(["eff", "--in", str(broken), "--scenario", str(scenario)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("threads", ["0", "-4", "abc", "2.5"])
+def test_bad_thread_cap_exits_usage(workspace, threads, tmp_path, monkeypatch, capsys):
+    # a worker cap below 1 or not an integer is a usage error, not a default
+    scenario, _ = workspace
+    monkeypatch.setenv("SKYRELAY_THREADS", threads)
+    args = ["run", "--scenario", str(scenario), "--algo", "ud", "--trials", "2", "--out", str(tmp_path)]
+    assert main(args) == EXIT_USAGE
+    assert f"SKYRELAY_THREADS must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
+    assert not (tmp_path / "reports.json").exists()
+
+
 def test_help_exits_ok(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "gen-scenario" in capsys.readouterr().out

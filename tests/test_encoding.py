@@ -366,8 +366,10 @@ def _mixed_batch(cfg, rng):
 
 
 def _scored_groups(batch, cfg, monkeypatch):
-    """Each group of ``encoding.raw_objectives(batch, cfg)`` with the
-    placement batch it rated and that batch's rates."""
+    """Each rate batch of ``encoding.raw_objectives(batch, cfg)`` with the
+    placement batch it rated and that batch's rates; each placement row
+    holds its solution's UAV count, in increasing count, padded to the
+    widest, within ``encoding.RATE_BATCH``."""
     rated = []
     link_rates = radio.link_rates
 
@@ -379,6 +381,11 @@ def _scored_groups(batch, cfg, monkeypatch):
     groups = list(encoding.raw_objectives(batch, cfg))
     monkeypatch.undo()
     assert len(rated) == len(groups)
+    for (indices, _), (pl, _) in zip(groups, rated):
+        counts = [batch[i].n_active for i in indices]
+        assert pl.counts.tolist() == counts == sorted(counts)
+        assert pl.n_uavs == counts[-1]
+        assert len(indices) == 1 or len(indices) * pl.n_uavs * cfg.m_pairs <= encoding.RATE_BATCH
     return [(indices, rows, pl, rates) for (indices, rows), (pl, rates) in zip(groups, rated)]
 
 
@@ -436,12 +443,13 @@ def test_link_rate_bits_unchanged(scale, scale_one, scale_two):
 
 @pytest.mark.parametrize("scale", ["one", "two"])
 def test_rate_batches_match_lone_rates_bytewise(scale, scale_one, scale_two, monkeypatch):
-    # one batch per UAV count and pass, every member's row against its lone rates
+    # rate batches that mix UAV counts, every member's row against its lone rates
     cfg = scale_one if scale == "one" else scale_two
     batch, _ = _mixed_batch(cfg, np.random.default_rng(15))
     assert {sol.n_active for sol in batch} == set(range(cfg.n_min, cfg.n_max + 1))
-    for indices, rows, pl, rates in _scored_groups(batch, cfg, monkeypatch):
-        assert {batch[i].n_active for i in indices} == {pl.n_uavs}
+    scored = _scored_groups(batch, cfg, monkeypatch)
+    assert any(len(set(pl.counts.tolist())) > 1 for _, _, pl, _ in scored)
+    for indices, rows, pl, rates in scored:
         assert rates.shape == (len(indices), cfg.m_pairs)
         for i, row, raw in zip(indices, rates, rows):
             lone = radio.link_rates(encoding.to_placement(batch[i], cfg), cfg)
@@ -484,7 +492,7 @@ def test_scale_two_rate_groups_split_at_the_budget(scale_two, monkeypatch):
     cfg = scale_two
     rng = np.random.default_rng(16)
     n = cfg.n_min
-    per_batch = encoding.STAGE_ONE_GAINS // (n * cfg.m_pairs)
+    per_batch = encoding.RATE_BATCH // (n * cfg.m_pairs)
     base = random_solution(cfg, rng)
     sols = [
         base.with_discrete(n, rng.integers(0, n, cfg.m_pairs), *encoding.random_channels(cfg, rng))
@@ -501,24 +509,27 @@ def test_scale_two_rate_groups_split_at_the_budget(scale_two, monkeypatch):
     monkeypatch.setattr(radio, "link_rates", recording)
     scored = solvers._evaluate(sols, cfg)
     monkeypatch.undo()
-    assert max(batches) <= encoding.STAGE_ONE_GAINS
+    assert max(batches) <= encoding.RATE_BATCH  # padded elements
     assert batches.count(per_batch * n * cfg.m_pairs) >= 2  # the big group split
     for ind, sol in zip(scored, sols):
         assert ind.genome is sol and ind.objectives == evaluate(sol, cfg)
 
 
-def test_scale_two_generation_is_one_pass_and_one_rate_batch_per_count(scale_two, monkeypatch):
-    # a pop-20 nsga3fdu generation: 20 Q children, each with a Q' sibling
-    # sharing its genes, one UAV count away
-    cfg = scale_two
-    rng = np.random.default_rng(18)
+def _fdu_generation(cfg, rng):
+    """A pop-20 nsga3fdu generation: 20 Q children, each with a Q' sibling
+    sharing its genes, one UAV count away."""
     q_set = [random_solution(cfg, rng) for _ in range(20)]
     counts = solvers.uav_number_adjust(np.array([q.n_active for q in q_set]), cfg, 0.5, rng)
     qp_set = [
         q.with_discrete(n, rng.integers(0, n, cfg.m_pairs), *encoding.random_channels(cfg, rng))
         for q, n in zip(q_set, counts.tolist())
     ]
-    sols = q_set + qp_set
+    return q_set, qp_set
+
+
+def _rated_generation(sols, cfg, monkeypatch):
+    """Widths of the stage-one passes and the rate batches of evaluating
+    ``sols``, each solution's objectives checked against a lone evaluation."""
     passes, batches = [], []
     a2g_gains, link_rates = radio.RadioConstants.a2g_gains, radio.link_rates
 
@@ -534,12 +545,36 @@ def test_scale_two_generation_is_one_pass_and_one_rate_batch_per_count(scale_two
     monkeypatch.setattr(radio, "link_rates", recording)
     scored = solvers._evaluate(sols, cfg)
     monkeypatch.undo()
-    assert passes == [sum(max(q.n_active, qp.n_active) for q, qp in zip(q_set, qp_set))]
-    assert sorted(pl.n_uavs for pl in batches) == sorted({sol.n_active for sol in sols})
     for pl in batches:  # the layouts of stacked lone placements
         assert all(a.flags.c_contiguous for a in (pl.gains.phu, pl.gains.txhd, pl.gains.pphk))
     for ind, sol in zip(scored, sols):
         assert ind.genome is sol and ind.objectives == evaluate(sol, cfg)
+    return passes, batches
+
+
+def test_scale_two_generation_is_one_pass_and_merged_rate_batches(scale_two, monkeypatch):
+    # rows in increasing UAV count, each batch cut where the next row would
+    # take it past RATE_BATCH padded elements; small count groups share one
+    cfg = scale_two
+    q_set, qp_set = _fdu_generation(cfg, np.random.default_rng(18))
+    sols = q_set + qp_set
+    passes, batches = _rated_generation(sols, cfg, monkeypatch)
+    assert passes == [sum(max(q.n_active, qp.n_active) for q, qp in zip(q_set, qp_set))]
+    rows = [pl.counts.tolist() for pl in batches]
+    assert sum(rows, []) == sorted(sol.n_active for sol in sols)
+    for pl, after in zip(batches, rows[1:]):
+        assert (len(pl.counts) + 1) * after[0] * cfg.m_pairs > encoding.RATE_BATCH
+    assert len(batches) < len({sol.n_active for sol in sols})
+    assert any(len(set(counts)) > 1 for counts in rows)
+
+
+def test_scale_one_generation_is_one_rate_batch(scale_one, monkeypatch):
+    cfg = scale_one
+    q_set, qp_set = _fdu_generation(cfg, np.random.default_rng(18))
+    sols = q_set + qp_set
+    passes, batches = _rated_generation(sols, cfg, monkeypatch)
+    assert len(passes) == 1 and len(batches) == 1
+    assert len(set(batches[0].counts.tolist())) > 1
 
 
 def _slot_permuted(sol, rng):

@@ -153,3 +153,26 @@ def test_batch_rows_equal_lone_plans_bytewise(n):
         taken = lone.take(np.arange(n)[None])
         assert average_flight_energy(taken)[0] == energy
         assert flight_time_spread(taken)[0] == spread
+
+
+@pytest.mark.parametrize(
+    "counts", [[8, 5, 4, 6, 5, 8, 7, 4], [16, 8, 12, 9, 15, 8, 16, 11, 10, 13]], ids=["one", "two"]
+)
+def test_padded_rows_equal_lone_plans_bytewise(counts):
+    # each row repeats its last UAV up to the widest count, and the rows are
+    # neither sorted nor of distinct counts
+    rng = np.random.default_rng(len(counts))
+    lone = [_plan(rng, n) for n in counts]
+    n = np.array(counts)
+    slots = np.minimum(np.arange(n.max()), n[:, None] - 1)
+    pass_plan = FlightPlan(
+        np.concatenate([plan.dest_xyz for plan in lone]),
+        np.concatenate([plan.speed_m_s for plan in lone]),
+        ORIGIN,
+        EP,
+    )
+    batch = pass_plan.take(np.cumsum(n)[:, None] - n[:, None] + slots, n)
+    energies, spreads = average_flight_energy(batch), flight_time_spread(batch)
+    for row, plan in enumerate(lone):
+        assert energies[row].tobytes() == np.float64(average_flight_energy(plan)).tobytes()
+        assert spreads[row].tobytes() == np.float64(flight_time_spread(plan)).tobytes()

@@ -307,6 +307,70 @@ def test_bad_assignment_inside_a_batch_raises(bad_slot):
         radio.link_rates(_batch(placements, cfg), cfg)
 
 
+def _padded_batch(placements, cfg):
+    """Lone placements of several UAV counts as one batch padded to the
+    widest, its gains gathered from one pass over every row's UAVs: a
+    row's slots beyond its count repeat its last UAV."""
+    counts = np.array([pl.n_uavs for pl in placements])
+    slots = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    uavs = np.cumsum(counts)[:, None] - counts[:, None] + slots
+    xyz = np.concatenate([pl.uav_xyz for pl in placements])
+    tx_w = np.concatenate([pl.uav_tx_w for pl in placements])
+    return radio.Placement(
+        uav_xyz=xyz[uavs],
+        uav_tx_w=tx_w[uavs],
+        assignment=np.array([pl.assignment for pl in placements]),
+        uav_channel=np.array([pl.uav_channel[row] for pl, row in zip(placements, slots)]),
+        direct_channel=np.array([pl.direct_channel for pl in placements]),
+        gains=cfg.radio_constants.uav_gains(xyz, tx_w).take(uavs),
+        counts=counts,
+    )
+
+
+@pytest.mark.parametrize("scale", ["one", "two"])
+def test_padded_rows_match_lone_calls_bytewise(scale, scale_one, scale_two):
+    # counts across the 8-element block of numpy's pairwise sum, unsorted
+    # and repeated; row 1 leaves its UAV 0 idle inside its own count, and
+    # rows 2 to 4 put every UAV on one channel, so each downlink sum adds
+    # several terms
+    cfg = scale_one if scale == "one" else scale_two
+    rng = np.random.default_rng(32)
+    counts = [8, 5, 4, 6, 5, 8, 7, 4] if scale == "one" else [16, 8, 12, 9, 15, 8, 16, 11, 10, 13]
+    placements = [make_placement(rng, cfg, n=n) for n in counts]
+    placements[1].assignment = rng.integers(1, counts[1], cfg.m_pairs)
+    for pl in placements[2:5]:
+        pl.uav_channel[:] = 0
+    batch = _padded_batch(placements, cfg)
+    assert batch.n_uavs == max(counts)
+    outputs = (radio.link_rates(batch, cfg), *radio.link_terms(batch, cfg))
+    assert all(out.shape == (len(counts), cfg.m_pairs) for out in outputs)
+    for b, pl in enumerate(placements):
+        lone = (radio.link_rates(pl, cfg), *radio.link_terms(pl, cfg))
+        for out, want in zip(outputs, lone):
+            assert out[b].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("pad_slot", [4, 7])
+def test_assignment_to_a_padded_slot_raises(pad_slot):
+    rng = np.random.default_rng(33)
+    cfg = make_config(rng, m=5, k=2)
+    batch = _padded_batch([make_placement(rng, cfg, n=n) for n in (8, 4, 6)], cfg)
+    radio.link_rates(batch, cfg)
+    batch.assignment[1, 3] = pad_slot  # row 1 holds 4 UAVs in 8 slots
+    with pytest.raises(radio.RadioError, match="non-existent UAV"):
+        radio.link_rates(batch, cfg)
+
+
+@pytest.mark.parametrize("counts", [[8, 4, 9], [8, 0, 6], [8, 4]])
+def test_counts_outside_the_batch_raise(counts):
+    rng = np.random.default_rng(34)
+    cfg = make_config(rng, m=5, k=2)
+    batch = _padded_batch([make_placement(rng, cfg, n=n) for n in (8, 4, 6)], cfg)
+    batch.counts = np.array(counts)
+    with pytest.raises(radio.RadioError, match="counts must give"):
+        radio.link_rates(batch, cfg)
+
+
 @pytest.mark.parametrize(
     ("uav_channel", "direct_channel", "name"),
     [([5], [0], "uav_channel"), ([-1], [0], "uav_channel"), ([0], [7], "direct_channel")],
