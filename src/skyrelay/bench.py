@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -114,6 +113,9 @@ def run_trials(
     workers = min(_threads(), n_trials)
     if workers <= 1:
         return [_run_one(job) for job in jobs]
+    # imported here, its only use: it loads multiprocessing and logging
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, jobs))
 

@@ -173,10 +173,13 @@ def repair_continuous(
     return np.where(ok, genes, lower + u * (upper - lower))
 
 
-def _check_counts(sol: Solution, cfg: ScenarioConfig) -> None:
-    if not cfg.n_min <= sol.n_active <= cfg.n_max:
-        raise ValueError(f"n_active={sol.n_active} outside [{cfg.n_min}, {cfg.n_max}]")
-    if len(sol.assign) != cfg.m_pairs:
+def _check_counts(sols: list[Solution], counts: list[int], cfg: ScenarioConfig) -> None:
+    """UAV count range and assignment length of ``sols``, whose counts are
+    ``counts`` in increasing order: only the ends need the range test."""
+    for n in (counts[0], counts[-1]):
+        if not cfg.n_min <= n <= cfg.n_max:
+            raise ValueError(f"n_active={n} outside [{cfg.n_min}, {cfg.n_max}]")
+    if any(len(sol.assign) != cfg.m_pairs for sol in sols):
         raise ValueError("assignment length != number of relayed pairs")
 
 
@@ -189,7 +192,7 @@ def _check_channels(uav_chan: np.ndarray, direct_chan: np.ndarray, cfg: Scenario
 
 def check_discrete(sol: Solution, cfg: ScenarioConfig) -> None:
     """Assert the discrete-domain constraints; violations are programming bugs."""
-    _check_counts(sol, cfg)
+    _check_counts([sol], [sol.n_active], cfg)
     _check_channels(sol.uav_chan, sol.direct_chan, cfg)
     if sol.assign.min() < 0 or sol.assign.max() >= sol.n_active:
         raise ValueError("assignment references an inactive UAV slot")
@@ -290,23 +293,24 @@ def raw_objectives(
     widest count, and scored before the next pass: one
     :func:`radio.link_rates` call and row reductions, which give each row
     the bits a lone solution gets.  A batch row's slots beyond its own count
-    repeat its last UAV.  The checks of :func:`check_discrete` run first,
+    repeat its last UAV.  The checks of :func:`check_discrete` run before a
+    pass is scored: the count and assignment-length checks over the pass,
     the channel checks over a batch's stacked rows; :func:`radio.link_rates`
     checks the assignment range.
     """
-    for sol in sols:
-        _check_counts(sol, cfg)
     m = cfg.m_pairs
     for gains, plan, tx_w, placed in _stage_one(sols, cfg):
         placed.sort(key=lambda member: sols[member[0]].n_active)
-        counts = [sols[i].n_active for i, _ in placed]
+        passed = [sols[i] for i, _ in placed]
+        counts = [sol.n_active for sol in passed]
+        _check_counts(passed, counts, cfg)
         start = 0
         while start < len(placed):
             stop = start + 1
             while stop < len(placed) and (stop + 1 - start) * counts[stop] * m <= RATE_BATCH:
                 stop += 1
             indices = [i for i, _ in placed[start:stop]]
-            members = [sols[i] for i in indices]
+            members = passed[start:stop]
             row_counts = np.array(counts[start:stop])
             # (B, width): each row's own slots, then its last one repeated
             slots = np.minimum(np.arange(counts[stop - 1]), row_counts[:, None] - 1)

@@ -11,7 +11,8 @@ from .scenario import EnergyParams
 
 
 class EnergyError(ValueError):
-    """Raised on invalid flight parameters (non-positive speed, empty plan)."""
+    """Raised on invalid flight parameters (non-positive or non-finite speed,
+    non-finite destination, empty plan)."""
 
 
 @dataclass(eq=False)
@@ -44,6 +45,8 @@ class FlightPlan:
 
     def __post_init__(self, ep: EnergyParams) -> None:
         speeds = self.speed_m_s
+        if not (np.isfinite(speeds).all() and np.isfinite(self.dest_xyz).all()):
+            raise EnergyError("speeds and destinations must be finite")
         if (speeds <= 0.0).any():
             raise EnergyError("speed must be > 0")
         offset = self.dest_xyz - np.asarray(self.origin_xyz)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -54,33 +55,65 @@ def fast_non_dominated_sort(
     dominates ``b`` when its ``objectives.violation`` is smaller, or when
     the violations are equal and ``a`` Pareto-dominates ``b``.  A feasible
     member (violation 0.0) therefore outranks every infeasible one, and an
-    all-feasible population sorts by plain Pareto dominance.
+    all-feasible population sorts by plain Pareto dominance.  A NaN
+    violation raises ``ValueError``: it would compare as neither smaller,
+    larger nor equal.
+
+    The sort runs one violation run at a time.  A stable argsort of the
+    violations cuts the population into runs of equal violation (-0.0
+    equals 0.0), each in index order.  Every member of a run dominates
+    every member of a later run, so the fronts are those of the first run,
+    then those of the second, and so on.  A run of one member is one front.
+    A longer run is peeled by Pareto dominance among its own members only.
+    Its fronts are the classic per-member peel's (Deb et al.), members in
+    the same order: the peel lists a member by the position of its last
+    dominator in the front before, then by index, and a run's first front
+    has every member of the front before as a dominator, so it comes in
+    index order.  The next generation's pairing sees this order.
     """
-    keys = np.array([ind.key() for ind in pop])
-    viol = np.array([ind.objectives.violation for ind in pop])
-    # a dominates b <=> viol(a) < viol(b), or equal violations and
-    # all(a <= b) and any(a < b); pairwise, one objective at a time
-    n = len(pop)
-    le = np.ones((n, n), dtype=bool)
-    lt = np.zeros((n, n), dtype=bool)
-    for col in keys.T:
+    rows = [(o.neg_f1, o.f2, o.f3, o.violation) for o in (ind.objectives for ind in pop)]
+    table = np.fromiter(chain.from_iterable(rows), float, 4 * len(pop)).reshape(-1, 4)
+    viol = table[:, 3]
+    if np.isnan(viol).any():
+        raise ValueError("constraint violation is NaN")
+    order = np.argsort(viol, kind="stable")
+    ranked = viol[order]
+    cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    members = order.tolist()
+    fronts: list[list[Individual]] = []
+    placed = 0
+    for start, stop in zip([0, *cuts], [*cuts, len(pop)]):
+        if stop - start == 1:
+            peel = [[start]]
+        else:
+            peel = ((f + start).tolist() for f in _pareto_fronts(table[order[start:stop], :3]))
+        for front in peel:
+            fronts.append([pop[members[k]] for k in front])
+            placed += len(front)
+            if limit is not None and placed >= limit:
+                return fronts
+    return fronts
+
+
+def _pareto_fronts(keys: np.ndarray):
+    """Yield the Pareto fronts of the rows of ``keys`` (m, 3), best first,
+    each an array of row positions in the classic per-member peel's order.
+
+    A member joins the next front once the current one holds its last
+    dominators.  It is listed by the position of its last dominator in the
+    current front, then by position.
+    """
+    # le[a, b]: a is no worse than b in every objective; a dominates b when
+    # that holds and b is not also no worse than a
+    le = keys[:, 0, None] <= keys[:, 0]
+    for col in keys.T[1:]:
         le &= col[:, None] <= col
-        lt |= col[:, None] < col
-    dom = (viol[:, None] < viol) | ((viol[:, None] == viol) & le & lt)
-    # Peel the fronts.  A member joins the next front once the current one
-    # holds its last dominators.  It is listed by the position of its last
-    # dominator in the current front, then by index: the order of the
-    # classic per-member peel, which the next generation's pairing sees.
+    dom = le & ~le.T
     remaining = dom.sum(axis=0)  # dominators of each member not yet peeled
     current = np.flatnonzero(remaining == 0)
-    fronts: list[list[Individual]] = []
-    peeled = 0
     while current.size:
-        fronts.append([pop[i] for i in current.tolist()])
+        yield current
         remaining[current] = -1  # peeled; no later front dominates them
-        peeled += len(current)
-        if limit is not None and peeled >= limit:
-            break
         beaten = dom[current]
         remaining -= beaten.sum(axis=0)
         nxt = np.flatnonzero(remaining == 0)
@@ -88,7 +121,6 @@ def fast_non_dominated_sort(
             last = len(current) - 1 - beaten[::-1, nxt].argmax(axis=0)
             nxt = nxt[np.argsort(last, kind="stable")]
         current = nxt
-    return fronts
 
 
 def hypervolume(points: np.ndarray, ref) -> float:

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,19 @@ def test_stats_from_report_doc_matches(reports, bench_cfg, tmp_path):
     (tmp_path / "reports.json").write_text('{"algo": "x", "trials": []}')
     with pytest.raises(ValueError):
         load_reports(tmp_path)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool and the multiprocessing and logging modules it pulls in load
+    # only when trials run in parallel
+    src = str(Path(bench.__file__).resolve().parents[1])
+    code = "import sys, skyrelay.bench; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_algorithm_names():

@@ -153,6 +153,18 @@ def test_domain_error_messages(field, bad_value, message, scale_one):
         assert str(err.value) == message
 
 
+def test_nan_speed_is_rejected_not_scored(scale_one):
+    # scored, a NaN speed would give f3 = NaN and violation = NaN, which
+    # constrained domination cannot rank
+    sol = random_solution(scale_one, np.random.default_rng(15))
+    sol.v[0] = np.nan
+    others = [random_solution(scale_one, np.random.default_rng(seed)) for seed in range(4)]
+    with pytest.raises(energy.EnergyError, match="must be finite"):
+        evaluate(sol, scale_one)
+    with pytest.raises(energy.EnergyError, match="must be finite"):
+        solvers._evaluate(others + [sol], scale_one)
+
+
 def test_repair_continuous(scale_one):
     rng = np.random.default_rng(4)
     sol = random_solution(scale_one, rng)

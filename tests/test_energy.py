@@ -73,6 +73,19 @@ def test_flight_energy_rejects_bad_speed():
             FlightPlan(dest, np.array([8.0, v]), ORIGIN, EP)
 
 
+def test_flight_plan_rejects_non_finite_speed_and_destination():
+    dest = np.array([[100.0, 0.0, 250.0], [0.0, 50.0, 300.0]])
+    speeds = np.array([8.0, 9.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in range(3):
+            wrong = dest.copy()
+            wrong[1, k] = bad
+            with pytest.raises(EnergyError, match="must be finite"):
+                FlightPlan(wrong, speeds, ORIGIN, EP)
+        with pytest.raises(EnergyError, match="must be finite"):
+            FlightPlan(dest, np.array([8.0, bad]), ORIGIN, EP)
+
+
 def test_induced_v4_reading():
     ep4 = dataclasses.replace(EP, induced_v4=True)
     # weaker subtraction -> larger induced term than the default reading

@@ -1,8 +1,9 @@
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -104,6 +105,56 @@ def test_limited_sort_is_a_prefix_of_the_full_sort():
             k = len(fronts)
             assert [[id(m) for m in f] for f in fronts] == [[id(m) for m in f] for f in full[:k]]
             assert sum(map(len, fronts)) >= limit > sum(map(len, full[: k - 1]))
+
+
+def _positions(pop, fronts):
+    position = {id(member): i for i, member in enumerate(pop)}
+    return [[position[id(member)] for member in front] for front in fronts]
+
+
+# few levels, -0.0 among them, force duplicate keys and equal violations
+tie_level = st.sampled_from([-0.0, 0.0, 1.0, 2.0])
+tied_member = st.tuples(
+    st.tuples(tie_level, tie_level, tie_level), st.sampled_from([-0.0, 0.0, 0.5, 2.0])
+)
+
+
+@given(
+    st.lists(
+        st.tuples(vec3, st.floats(1e-9, 1e3)), min_size=1, max_size=60, unique_by=lambda m: m[1]
+    )
+)
+def test_sort_of_distinct_violations_matches_classic_peel(members):
+    # every member infeasible, each its own violation run and so its own front
+    pop = [ind(k, v) for k, v in members]
+    assert _positions(pop, fast_non_dominated_sort(pop)) == oracle.classic_fronts(pop)
+
+
+@given(st.lists(tied_member, min_size=1, max_size=60))
+def test_sort_of_tied_violations_matches_classic_peel(members):
+    # -0.0 and 0.0 violations form one run, as they compare equal
+    pop = [ind(k, v) for k, v in members]
+    assert _positions(pop, fast_non_dominated_sort(pop)) == oracle.classic_fronts(pop)
+
+
+@given(st.lists(tied_member, min_size=2, max_size=60), st.data())
+def test_limit_inside_a_violation_run(members, data):
+    pop = [ind(k, v) for k, v in members]
+    sizes = [len(list(run)) for _, run in groupby(sorted(v for _, v in members))]
+    runs = [r for r, size in enumerate(sizes) if size > 1]
+    assume(runs)
+    r = data.draw(st.sampled_from(runs))
+    limit = sum(sizes[:r]) + data.draw(st.integers(1, sizes[r] - 1))
+    got = _positions(pop, fast_non_dominated_sort(pop, limit))
+    full = oracle.classic_fronts(pop)
+    assert got == full[: len(got)]
+    assert sum(map(len, got)) >= limit > sum(map(len, got[:-1]))
+
+
+def test_sort_rejects_nan_violation():
+    pop = [ind((0.0, 0.0, 0.0), 1.0), ind((1.0, 1.0, 1.0), math.nan)]
+    with pytest.raises(ValueError, match="violation is NaN"):
+        fast_non_dominated_sort(pop)
 
 
 def test_fast_sort_partitions_without_side_effects():
