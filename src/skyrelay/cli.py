@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench, radio
 from .scenario import ScenarioError, gen_scenario, load_scenario, save_scenario
-from .solvers import RunConfig
+from .solvers import STRATEGIES, RunConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,9 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pick", help="print one strategy pick record")
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument(
-        "--strategy", choices=("maxnetcap", "minuav", "minaveenergy"), required=True
-    )
+    p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--trial", type=int, required=True)
     p.set_defaults(func=_cmd_pick)
 

@@ -9,7 +9,7 @@ shapes them: a slot that a larger UAV count later activates carries
 whatever genes variation left in it.
 
 Evaluation has two stages, both in :func:`raw_objectives`.  Stage one
-computes, for a whole batch of solutions in one numpy pass, everything the
+computes, for every solution of one call in one numpy pass, everything the
 continuous genes alone decide: the air-to-ground gain products and each
 UAV's flight distance, energy and time.  Stage two scores the discrete
 schedules in batches that merge UAV-count groups, each row padded to its
@@ -173,27 +173,28 @@ def repair_continuous(
     return np.where(ok, genes, lower + u * (upper - lower))
 
 
-def _check_counts(sols: list[Solution], counts: list[int], cfg: ScenarioConfig) -> None:
-    """UAV count range and assignment length of ``sols``, whose counts are
-    ``counts`` in increasing order: only the ends need the range test."""
-    for n in (counts[0], counts[-1]):
+def _stack_discrete(sols: list[Solution], cfg: ScenarioConfig):
+    """UAV counts, assignments and channels of ``sols``, stacked: (B,),
+    (B, M), (B, n_max) and (B, K).  Checks count range, assignment length
+    and channels, padding slots included; :func:`radio.link_rates` and
+    :func:`check_discrete` check the assignment range."""
+    counts = np.array([sol.n_active for sol in sols])
+    for n in (counts.min(), counts.max()):
         if not cfg.n_min <= n <= cfg.n_max:
             raise ValueError(f"n_active={n} outside [{cfg.n_min}, {cfg.n_max}]")
     if any(len(sol.assign) != cfg.m_pairs for sol in sols):
         raise ValueError("assignment length != number of relayed pairs")
-
-
-def _check_channels(uav_chan: np.ndarray, direct_chan: np.ndarray, cfg: ScenarioConfig) -> None:
-    """Channels of one solution, or the stacked rows of a rate batch."""
+    uav_chan = np.array([sol.uav_chan for sol in sols])
+    direct_chan = np.array([sol.direct_chan for sol in sols])
     for name, channels in (("uav_chan", uav_chan), ("direct_chan", direct_chan)):
         if channels.size and (channels.min() < 0 or channels.max() >= cfg.u_channels):
             raise ValueError(f"{name} references a non-existent channel")
+    return counts, np.array([sol.assign for sol in sols]), uav_chan, direct_chan
 
 
 def check_discrete(sol: Solution, cfg: ScenarioConfig) -> None:
     """Assert the discrete-domain constraints; violations are programming bugs."""
-    _check_counts([sol], [sol.n_active], cfg)
-    _check_channels(sol.uav_chan, sol.direct_chan, cfg)
+    _stack_discrete([sol], cfg)
     if sol.assign.min() < 0 or sol.assign.max() >= sol.n_active:
         raise ValueError("assignment references an inactive UAV slot")
 
@@ -219,15 +220,6 @@ def to_flight_plan(sol: Solution, cfg: ScenarioConfig) -> energy_mod.FlightPlan:
     )
 
 
-# Stage one computes at most this many air-to-ground gains (2M + K ground
-# points times UAV columns) in one pass; a larger batch runs in several
-# passes of whole blocks.  A pass holds 2849 columns at scale 1 and 318 at
-# scale 2, so one pass takes each generation of the benchmark's pop-20 and
-# pop-100 runs (at scale 2 the widest pass measured 56k gains; 4096 took
-# about 13 passes per generation there).  The in-place gain kernel works
-# in about two arrays of a pass's size.
-STAGE_ONE_GAINS = 65536
-
 # A stage-two rate batch holds at most this many B placements x N UAVs x M
 # pairs, N its widest UAV count.  A batch's fixed numpy cost outweighs its
 # arithmetic on small arrays, and padding costs arithmetic on large ones:
@@ -238,47 +230,35 @@ RATE_BATCH = 16384
 
 
 def _stage_one(sols: list[Solution], cfg: ScenarioConfig):
-    """Stage one of evaluation for every solution in ``sols``, in passes.
+    """Stage one of evaluation for every solution in ``sols``, in one pass.
 
     Solutions sharing one ``genes`` array form one block, computed over the
-    largest of their UAV counts.  Each pass is one numpy pass over the
-    active slots of a run of blocks, gathered from their ``genes`` in one
-    concatenation: gain products (:meth:`radio.RadioConstants.uav_gains`)
-    and flight energies and times (:class:`energy.FlightPlan`).  Yields per
-    pass its gains, plan and transmit powers, lone arrays over its UAV
-    columns, and ``(index into sols, first column)`` of each of its
-    solutions.  Every value is computed elementwise from the same operands
-    as for a lone solution, so batching does not change a bit.
+    largest of their UAV counts.  The active slots of every block are
+    gathered from their ``genes`` in one concatenation, and one numpy pass
+    over these UAV columns gives the gain products
+    (:meth:`radio.RadioConstants.uav_gains`) and flight energies and times
+    (:class:`energy.FlightPlan`).  Returns the gains, plan and transmit
+    powers, lone arrays over the columns, and ``columns``, (len(sols),) the
+    first column of each solution.  Every value is computed elementwise
+    from the same operands as for a lone solution, so batching does not
+    change a bit.
     """
-    rc = cfg.radio_constants
     blocks: dict[int, list[int]] = {}  # id of the shared genes -> solution indices
     for i, sol in enumerate(sols):
         blocks.setdefault(id(sol.genes), []).append(i)
-    members = list(blocks.values())
-    widths = [max(sols[i].n_active for i in block) for block in members]
-
-    max_cols = max(STAGE_ONE_GAINS // rc.n_ground, 1)
-    start = 0
-    while start < len(members):
-        stop, cols = start + 1, widths[start]
-        while stop < len(members) and cols + widths[stop] <= max_cols:
-            cols += widths[stop]
-            stop += 1
-        chunk = list(zip(members[start:stop], widths[start:stop]))
-        # (5, cols): the x, y, z, p and v of every column
-        axes = np.concatenate(
-            [sols[block[0]].genes.reshape(5, -1)[:, :n] for block, n in chunk], axis=1
-        )
-        xyz = axes[:3].T.copy()  # C-ordered (cols, 3), as a lone solution's positions
-        tx_w = axes[3]
-        plan = energy_mod.FlightPlan(xyz, axes[4], cfg.origin_xyz, cfg.energy)
-        placed = []
-        offset = 0
-        for block, n in chunk:
-            placed += [(i, offset) for i in block]
-            offset += n
-        yield rc.uav_gains(xyz, tx_w), plan, tx_w, placed
-        start = stop
+    columns = np.empty(len(sols), dtype=np.intp)
+    parts = []
+    offset = 0
+    for block in blocks.values():
+        n = max(sols[i].n_active for i in block)
+        parts.append(sols[block[0]].genes.reshape(5, -1)[:, :n])
+        columns[block] = offset
+        offset += n
+    axes = np.concatenate(parts, axis=1)  # (5, columns): x, y, z, p and v
+    xyz = axes[:3].T.copy()  # C-ordered (columns, 3), as a lone solution's positions
+    tx_w = axes[3]
+    plan = energy_mod.FlightPlan(xyz, axes[4], cfg.origin_xyz, cfg.energy)
+    return cfg.radio_constants.uav_gains(xyz, tx_w), plan, tx_w, columns
 
 
 def raw_objectives(
@@ -288,51 +268,46 @@ def raw_objectives(
     ``sols``: stage one, then stage two one rate batch at a time.
 
     Yields ``(indices into sols, rows)``, one ``(capacity, energy, spread)``
-    row per index.  Each pass's solutions are taken in increasing UAV count
-    and cut into batches of at most ``RATE_BATCH`` B x N x M, N the batch's
-    widest count, and scored before the next pass: one
-    :func:`radio.link_rates` call and row reductions, which give each row
-    the bits a lone solution gets.  A batch row's slots beyond its own count
-    repeat its last UAV.  The checks of :func:`check_discrete` run before a
-    pass is scored: the count and assignment-length checks over the pass,
-    the channel checks over a batch's stacked rows; :func:`radio.link_rates`
-    checks the assignment range.
+    row per index.  The solutions are taken in increasing UAV count (one
+    stable argsort) and cut into batches of at most ``RATE_BATCH`` B x N x M,
+    N the batch's widest count: one :func:`radio.link_rates` call and row
+    reductions, which give each row the bits a lone solution gets.  A batch
+    row's slots beyond its own count repeat its last UAV.  The checks of
+    :func:`check_discrete` run once, over the stacked discrete parts, before
+    stage one; :func:`radio.link_rates` checks the assignment range.
     """
+    if not sols:
+        return
+    counts, assign, uav_chan, direct_chan = _stack_discrete(sols, cfg)
+    gains, plan, tx_w, columns = _stage_one(sols, cfg)
+    order = np.argsort(counts, kind="stable")
+    widths = counts[order].tolist()
     m = cfg.m_pairs
-    for gains, plan, tx_w, placed in _stage_one(sols, cfg):
-        placed.sort(key=lambda member: sols[member[0]].n_active)
-        passed = [sols[i] for i, _ in placed]
-        counts = [sol.n_active for sol in passed]
-        _check_counts(passed, counts, cfg)
-        start = 0
-        while start < len(placed):
-            stop = start + 1
-            while stop < len(placed) and (stop + 1 - start) * counts[stop] * m <= RATE_BATCH:
-                stop += 1
-            indices = [i for i, _ in placed[start:stop]]
-            members = passed[start:stop]
-            row_counts = np.array(counts[start:stop])
-            # (B, width): each row's own slots, then its last one repeated
-            slots = np.minimum(np.arange(counts[stop - 1]), row_counts[:, None] - 1)
-            uav_chan = np.array([sol.uav_chan for sol in members])
-            direct_chan = np.array([sol.direct_chan for sol in members])
-            _check_channels(uav_chan, direct_chan, cfg)
-            uavs = np.array([column for _, column in placed[start:stop]])[:, None] + slots
-            batch_plan = plan.take(uavs, row_counts)
-            batch = radio_mod.Placement(
-                uav_xyz=batch_plan.dest_xyz,
-                uav_tx_w=tx_w[uavs],
-                assignment=np.array([sol.assign for sol in members]),
-                uav_channel=np.take_along_axis(uav_chan, slots, axis=1),
-                direct_channel=direct_chan,
-                gains=gains.take(uavs),
-                counts=row_counts,
-            )
-            capacity = radio_mod.link_rates(batch, cfg).sum(axis=1)
-            energy = energy_mod.average_flight_energy(batch_plan)
-            spread = energy_mod.flight_time_spread(batch_plan)
-            yield indices, list(zip(capacity.tolist(), energy.tolist(), spread.tolist()))
-            start = stop
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and (stop + 1 - start) * widths[stop] * m <= RATE_BATCH:
+            stop += 1
+        rows = order[start:stop]
+        row_counts = counts[rows]
+        # (B, width): each row's own slots, then its last one repeated
+        slots = np.minimum(np.arange(widths[stop - 1]), row_counts[:, None] - 1)
+        uavs = columns[rows][:, None] + slots
+        batch_plan = plan.take(uavs, row_counts)
+        batch = radio_mod.Placement(
+            uav_xyz=batch_plan.dest_xyz,
+            uav_tx_w=tx_w[uavs],
+            assignment=assign[rows],
+            uav_channel=np.take_along_axis(uav_chan[rows], slots, axis=1),
+            direct_channel=direct_chan[rows],
+            gains=gains.take(uavs),
+            counts=row_counts,
+        )
+        capacity = radio_mod.link_rates(batch, cfg).sum(axis=1)
+        energy = energy_mod.average_flight_energy(batch_plan)
+        spread = energy_mod.flight_time_spread(batch_plan)
+        yield rows.tolist(), list(zip(capacity.tolist(), energy.tolist(), spread.tolist()))
+        start = stop
 
 
 def evaluate(

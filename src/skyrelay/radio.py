@@ -18,10 +18,11 @@ placement's terms therefore do not depend on its batch.  A batch holds a
 few (B, N, M) arrays, so callers bound B x N x M (``encoding.RATE_BATCH``).
 
 :meth:`RadioConstants.a2g_gains` evaluates the air-to-ground model
-(Al-Hourani et al. 2014) from every ground point to a whole stage-one
-pass of UAVs.  It works in place in two arrays of the pass's size, with
-the ufuncs of the term-by-term expression in the same order, so a wide
-pass costs little memory and gives the same bits as a narrow one.
+(Al-Hourani et al. 2014) from every ground point to the UAV columns of
+one stage-one call, every active slot of an evaluation call's solutions.
+It works in place in two (2M + K, columns) arrays, with the ufuncs of the
+term-by-term expression in the same order, so many columns cost little
+memory and give the same bits as a lone solution's.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .scenario import ChannelParams, ScenarioConfig
 
 
 class RadioError(ValueError):
-    """Raised on bad index or channel arrays, or a non-positive power total."""
+    """Raised on bad index or channel arrays, non-finite UAV positions or
+    transmit powers, or a non-positive power total."""
 
 
 @dataclass(eq=False)
@@ -45,7 +47,7 @@ class UavGains:
 
     Columns (rows of ``txhd``) follow the UAVs.  In a batch of placements
     each array carries a leading batch axis; :meth:`take` gathers one from
-    the products of a stage-one pass.
+    the products of stage one.
     """
 
     phu: np.ndarray  # (M, N) relayed-SWD power x SWD -> UAV gain
@@ -69,7 +71,7 @@ class Placement:
     """One concrete deployment: UAV states plus assignment and channels.
 
     ``gains`` holds the placement's :class:`UavGains` when they were
-    computed beforehand (in a stage-one pass, see
+    computed beforehand (in stage one, see
     :func:`skyrelay.encoding.raw_objectives`) and must then match
     ``uav_xyz`` and ``uav_tx_w``; left None, :func:`link_rates` computes
     them.  A batch of B placements has the same fields with a leading
@@ -219,6 +221,8 @@ class RadioConstants:
         The products are weighted in place in row blocks of one gain array,
         so ``phu`` and ``pphk`` are C-ordered and ``txhd`` F-ordered.
         """
+        if not (np.isfinite(uav_xyz).all() and np.isfinite(uav_tx_w).all()):
+            raise RadioError("UAV positions and transmit powers must be finite")
         m = self.m_pairs
         h = self.a2g_gains(uav_xyz)
         phu, txhd, pphk = h[:m], h[m : 2 * m].T, h[2 * m :]

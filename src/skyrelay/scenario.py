@@ -293,16 +293,6 @@ def gen_scenario(scale: str, seed: int) -> ScenarioConfig:
     return cfg
 
 
-def _pair_to_dict(pair: DevicePair) -> dict:
-    return {
-        "kind": pair.kind,
-        "swd_xy": list(pair.swd_xy),
-        "dwd_xy": list(pair.dwd_xy),
-        "tx_power_w": pair.tx_power_w,
-        "activity": pair.activity,
-    }
-
-
 def _real(value, name: str):
     """``value`` if it is an int or float within the finite doubles (a bool is
     neither; NaN and the infinities are not within), else ScenarioError."""
@@ -357,8 +347,8 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
         "counts": {k: getattr(cfg, k) for k in _COUNTS},
         "channel": asdict(cfg.channel),
         "energy": asdict(cfg.energy),
-        "relayed_pairs": [_pair_to_dict(p) for p in cfg.relayed_pairs],
-        "direct_pairs": [_pair_to_dict(p) for p in cfg.direct_pairs],
+        "relayed_pairs": [asdict(p) for p in cfg.relayed_pairs],
+        "direct_pairs": [asdict(p) for p in cfg.direct_pairs],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import malformed_scenarios
 from skyrelay.cli import EXIT_OK, EXIT_USAGE, main
+from skyrelay.solvers import STRATEGIES
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,14 @@ def test_pick_command(workspace, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["strategy"] == "minuav" and rec["trial"] == 0
     assert rec["solution"]["n_uavs"] == rec["objectives"]["f2"] or not rec["objectives"]["feasible"]
+
+
+def test_pick_takes_every_solver_strategy(workspace, capsys):
+    _, outdir = workspace
+    for strategy in STRATEGIES:
+        assert main(["pick", "--in", str(outdir), "--strategy", strategy, "--trial", "1"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["strategy"] == strategy
+    assert main(["pick", "--in", str(outdir), "--strategy", "maxcap", "--trial", "1"]) == EXIT_USAGE
 
 
 def test_eff_command(workspace, capsys):

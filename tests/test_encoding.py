@@ -22,6 +22,7 @@ from skyrelay.encoding import (
     repair_continuous,
     solution_record,
 )
+from skyrelay.scenario import gen_scenario
 
 
 def test_penalty_constants():
@@ -163,6 +164,20 @@ def test_nan_speed_is_rejected_not_scored(scale_one):
         evaluate(sol, scale_one)
     with pytest.raises(energy.EnergyError, match="must be finite"):
         solvers._evaluate(others + [sol], scale_one)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_power_is_rejected_not_scored(value):
+    # scored, a NaN power gave neg_f1 = NaN beside a finite violation, and
+    # the sort ranked it undominated within its violation run
+    cfg = gen_scenario("one", 0)
+    sol = random_solution(cfg, np.random.default_rng(1))
+    sol.p[0] = value
+    others = [random_solution(cfg, np.random.default_rng(seed)) for seed in range(2, 6)]
+    with pytest.raises(radio.RadioError, match="must be finite"):
+        evaluate(sol, cfg)
+    with pytest.raises(radio.RadioError, match="must be finite"):
+        solvers._evaluate(others[:2] + [sol] + others[2:], cfg)
 
 
 def test_repair_continuous(scale_one):
@@ -352,7 +367,7 @@ def test_evaluate_rejects_assignment_outside_active_slots(scale_one):
 
 def _mixed_batch(cfg, rng):
     """Every UAV count, Q/Q' pairs sharing genes (each order of
-    their counts, apart in the batch) and more columns than one chunk."""
+    their counts, apart in the batch) and more than 131072 gains."""
 
     def walked(sol, n):
         return sol.with_discrete(
@@ -370,9 +385,9 @@ def _mixed_batch(cfg, rng):
         batch.insert(1, q)
         batch.append(qp)
         pairs.append((q, qp))
-    while sum(s.n_active for s in batch) <= 2 * encoding.STAGE_ONE_GAINS // (
-        cfg.radio_constants.n_ground
-    ):
+    # a literal, not a bound read from encoding: more than twice 65536 gains,
+    # so a stage one cut into passes of that size shows as three gain calls
+    while sum(s.n_active for s in batch) * cfg.radio_constants.n_ground <= 131072:
         batch.append(random_solution(cfg, rng))
     return batch, pairs
 
@@ -407,13 +422,12 @@ def test_stage_one_batch_matches_lone_evaluation(scale, scale_one, scale_two, mo
     # exactly the objectives the batched loop stored
     cfg = scale_one if scale == "one" else scale_two
     batch, pairs = _mixed_batch(cfg, np.random.default_rng(12))
-    placed = {}  # index -> (pass number, first column)
-    for p, (_, _, _, members) in enumerate(encoding._stage_one(batch, cfg)):
-        placed.update((i, (p, column)) for i, column in members)
-    assert sorted(placed) == list(range(len(batch)))
+    _, _, _, columns = encoding._stage_one(batch, cfg)
+    assert columns.shape == (len(batch),)
+    assert len(set(columns.tolist())) == len({id(s.genes) for s in batch})
     for q, qp in pairs:  # a Q/Q' block is computed once
         i_q, i_qp = (next(i for i, s in enumerate(batch) if s is t) for t in (q, qp))
-        assert placed[i_q] == placed[i_qp]
+        assert columns[i_q] == columns[i_qp]
     raws = {}
     for indices, rows, _, _ in _scored_groups(batch, cfg, monkeypatch):
         raws.update(zip(indices, rows))
@@ -440,16 +454,16 @@ def test_link_rate_bits_unchanged(scale, scale_one, scale_two):
     digest = hashlib.sha256()
     for _ in range(20 if scale == "one" else 5):
         sols = [random_solution(cfg, rng) for _ in range(12)]
-        for gains, _, _, members in encoding._stage_one(sols, cfg):
-            for i, column in members:
-                own = encoding.to_placement(sols[i], cfg)
-                uavs = column + np.arange(sols[i].n_active)[None]
-                staged = radio.Placement(
-                    own.uav_xyz[None], own.uav_tx_w[None], own.assignment[None],
-                    own.uav_channel[None], own.direct_channel[None], gains.take(uavs),
-                )
-                for pl in (staged, own):
-                    digest.update(radio.link_rates(pl, cfg).tobytes())
+        gains, _, _, columns = encoding._stage_one(sols, cfg)
+        for sol, column in zip(sols, columns):
+            own = encoding.to_placement(sol, cfg)
+            uavs = column + np.arange(sol.n_active)[None]
+            staged = radio.Placement(
+                own.uav_xyz[None], own.uav_tx_w[None], own.assignment[None],
+                own.uav_channel[None], own.direct_channel[None], gains.take(uavs),
+            )
+            for pl in (staged, own):
+                digest.update(radio.link_rates(pl, cfg).tobytes())
     assert digest.hexdigest() == GOLDEN_RATES[scale]
 
 
@@ -578,6 +592,18 @@ def test_scale_two_generation_is_one_pass_and_merged_rate_batches(scale_two, mon
         assert (len(pl.counts) + 1) * after[0] * cfg.m_pairs > encoding.RATE_BATCH
     assert len(batches) < len({sol.n_active for sol in sols})
     assert any(len(set(counts)) > 1 for counts in rows)
+
+
+@pytest.mark.parametrize("scale", ["one", "two"])
+def test_evaluation_call_is_one_stage_one_pass(scale, scale_one, scale_two, monkeypatch):
+    # one gain call over every block's columns, however many solutions
+    cfg = scale_one if scale == "one" else scale_two
+    batch, _ = _mixed_batch(cfg, np.random.default_rng(20))
+    widths = {}
+    for sol in batch:
+        widths[id(sol.genes)] = max(widths.get(id(sol.genes), 0), sol.n_active)
+    passes, _ = _rated_generation(batch, cfg, monkeypatch)
+    assert passes == [sum(widths.values())]
 
 
 def test_scale_one_generation_is_one_rate_batch(scale_one, monkeypatch):

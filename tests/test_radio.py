@@ -388,6 +388,19 @@ def test_out_of_range_channel_raises(uav_channel, direct_channel, name):
         radio.link_rates(pl, cfg)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(("field", "index"), [("uav_xyz", (1, 0)), ("uav_xyz", (0, 2)), ("uav_tx_w", 2)])
+def test_non_finite_uav_state_raises(field, index, value):
+    # computed, a NaN position or power gave NaN rates with no warning
+    rng = np.random.default_rng(35)
+    cfg = make_config(rng, m=5, k=2)
+    pl = make_placement(rng, cfg, n=4)
+    radio.link_rates(pl, cfg)
+    getattr(pl, field)[index] = value
+    with pytest.raises(radio.RadioError, match="must be finite"):
+        radio.link_rates(pl, cfg)
+
+
 def test_all_quantities_finite_nonnegative():
     rng = np.random.default_rng(11)
     for _ in range(20):

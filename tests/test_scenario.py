@@ -69,6 +69,17 @@ def test_save_load_roundtrip(tmp_path):
     assert load_scenario(path) == cfg
 
 
+@pytest.mark.parametrize("scale", ["one", "two"])
+def test_save_load_save_is_byte_identical(scale, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_scenario(gen_scenario(scale, 3), first)
+    save_scenario(load_scenario(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    doc = json.loads(first.read_text())
+    for pair in doc["relayed_pairs"] + doc["direct_pairs"]:
+        assert list(pair) == ["kind", "swd_xy", "dwd_xy", "tx_power_w", "activity"]
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
